@@ -164,7 +164,8 @@ def _calendar_for(records, args):
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    in_range = [r for r in records if calendar.contains(r.timestamp)]
+    lo, hi = calendar.start_epoch_seconds, calendar.end_epoch_seconds
+    in_range = [r for r in records if lo <= r.timestamp < hi]
     dropped = len(records) - len(in_range)
     if dropped:
         print(
@@ -203,13 +204,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _detection_pipeline(records, calendar, percentile):
-    cube = activity.aggregate(records, calendar)
-    series = activity.event_index(cube)
-    events = activity.detect_events(series, percentile)
-    return series, events
-
-
 def cmd_detect(args) -> int:
     manifest = RunManifest(
         "detect",
@@ -222,11 +216,9 @@ def cmd_detect(args) -> int:
         raise CliError(f"--percentile must be in (0, 1], got {args.percentile}")
     records, _clients = _load_corpus(args.cdr, args.roster)
     calendar, in_range = _calendar_for(records, args)
-    series, events = _detection_pipeline(in_range, calendar, args.percentile)
-
-    silent = series.silent_antennas()
-    for antenna in silent:
-        print(f"skipped silent antenna {antenna} (no traffic)", file=sys.stderr)
+    cube = activity.aggregate(in_range, calendar)
+    series = activity.event_index(cube)
+    events = activity.detect_events(series, args.percentile)
 
     if args.dump_index is not None:
         _write_index_dump(args.out, series, args.dump_index)
@@ -240,7 +232,7 @@ def cmd_detect(args) -> int:
     write_lines(args.out / EVENTS_FILENAME, lines)
     print(
         f"detected {len(events)} events across "
-        f"{len(series.antennas) - len(silent)} active antennas "
+        f"{len(series.antennas)} active antennas "
         f"(calendar {calendar.n_weeks} weeks from {calendar.epoch_start})"
     )
     return 0
@@ -286,7 +278,10 @@ def _window_analysis(args):
             f"no attenders at {args.antenna} on {args.date} "
             f"{start_hour:02d}:00-{end_hour:02d}:00"
         )
-    graph = build_contact_graph(in_range, clients)
+    # every later step reads only neighbors(u) of attenders u: their edges suffice
+    graph = build_contact_graph(
+        r for r in in_range if r.located_user in present or r.other_party in present
+    )
     subgraph = social.induce_subgraph(graph, present)
     return graph, subgraph
 
@@ -335,7 +330,7 @@ def cmd_infer(args) -> int:
     manifest.check_inputs()
     graph, subgraph = _window_analysis(args)
     table = inference.attendance_probability(graph, subgraph.attenders)
-    cumulative = inference.cumulative_attendance_probability(graph, subgraph.attenders)
+    cumulative = table.cumulative()
     points = table.points(args.min_denominator)
     try:
         fit = inference.linear_fit(points)

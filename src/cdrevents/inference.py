@@ -51,6 +51,18 @@ class AttendanceTable:
             if row.denominator >= min_denominator
         ]
 
+    def cumulative(self) -> dict[int, AttendanceRow]:
+        """Rows for at least K contacts, K = 1..max k: suffix sums of the
+        exact-k rows, so a K without an exact row still gets one."""
+        rows: dict[int, AttendanceRow] = {}
+        num = den = 0
+        for k in range(max(self.rows), 0, -1):
+            if k in self.rows:
+                num += self.rows[k].numerator
+                den += self.rows[k].denominator
+            rows[k] = AttendanceRow(k, num, den)
+        return dict(sorted(rows.items()))
+
 
 @dataclass(frozen=True)
 class LinearFit:
@@ -122,16 +134,7 @@ def cumulative_attendance_probability(
     The population is re-taken for every K: row K counts all users with
     k >= K, so rows equal the suffix sums of the exact-k table.
     """
-    numerators, denominators = _tally(graph, attendees, population)
-    max_k = max(denominators)
-    rows: dict[int, AttendanceRow] = {}
-    num_sum = 0
-    den_sum = 0
-    for k in range(max_k, 0, -1):
-        num_sum += numerators.get(k, 0)
-        den_sum += denominators.get(k, 0)
-        rows[k] = AttendanceRow(k, num_sum, den_sum)
-    return dict(sorted(rows.items()))
+    return attendance_probability(graph, attendees, population).cumulative()
 
 
 def linear_fit(points: Sequence[tuple[float, float]]) -> LinearFit:

@@ -296,8 +296,9 @@ class DatasetCalendar:
         if not records:
             raise ValueError("cannot derive a calendar from an empty corpus")
         offset = utc_offset_minutes * 60
-        days = [(r.timestamp + offset) // SECONDS_PER_DAY for r in records]
-        first_day, last_day = min(days), max(days)
+        stamps = [r.timestamp for r in records]
+        first_day = (min(stamps) + offset) // SECONDS_PER_DAY
+        last_day = (max(stamps) + offset) // SECONDS_PER_DAY
         if epoch_start is not None:
             start_day = epoch_start.toordinal() - _UNIX_EPOCH_ORDINAL
         else:

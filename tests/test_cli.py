@@ -303,3 +303,103 @@ def test_utc_offset_flag_parses(tmp_path):
     assert status == 0
     with pytest.raises(SystemExit):
         main(["detect", str(cdr), str(roster), "--utc-offset", "nonsense"])
+
+
+def test_window_commands_match_full_graph_library_answers(tmp_path):
+    # the CLI builds only the attenders' incident edges; every output must
+    # equal what the library computes from the full contact graph
+    import datetime as dt
+
+    from cdrevents import (
+        DatasetCalendar,
+        EventWindow,
+        attendance_probability,
+        attenders,
+        build_contact_graph,
+        component_size_histogram,
+        induce_subgraph,
+        linear_fit,
+        load_client_set,
+        parse_cdr_file,
+    )
+
+    cdr, roster, _ = generate_corpus(tmp_path, SOCIAL_CONFIG)
+    date = event_date()
+    common = [str(cdr), str(roster), "--antenna", "A001", "--date", date]
+    assert main(["subgraph", *common, "--out", str(tmp_path / "sub")]) == 0
+    assert main(["infer", *common, "--out", str(tmp_path / "inf")]) == 0
+
+    with open(cdr, "rb") as stream:
+        records, _ = parse_cdr_file(stream)
+    with open(roster, "rb") as stream:
+        clients = load_client_set(stream)
+    calendar = DatasetCalendar.from_records(records)
+    in_range = [r for r in records if calendar.contains(r.timestamp)]
+    week, dow = calendar.slot_of_date(dt.date.fromisoformat(date))
+    present = attenders(in_range, EventWindow("A001", week, dow), clients, calendar)
+    graph = build_contact_graph(in_range, clients)
+
+    # the case is only telling if the full graph holds much the CLI skips
+    touching = sum(len(graph.neighbors(u)) for u in present)
+    assert touching < graph.n_edges / 2
+    assert any(v not in clients for u in present for v in graph.neighbors(u))
+
+    sub = induce_subgraph(graph, present)
+    sizes = component_size_histogram(sub)
+    summary = [
+        "attenders,social_attenders,singlets,max_component",
+        f"{len(present)},{len(sub.social_attenders)},{len(sub.singlets)},"
+        f"{max(sizes) if sizes else 0}",
+    ]
+    edges = ["u,v"] + [f"{u},{v}" for u, v in sorted(sub.edges)]
+    table = attendance_probability(graph, present)
+    rows = sorted(table.rows.items())
+    attendance = ["k,numerator,denominator,p"] + [
+        f"{k},{r.numerator},{r.denominator},{r.p:.12g}" for k, r in rows
+    ]
+    cumulative = ["K,p"]
+    for big_k in range(1, rows[-1][0] + 1):
+        num = sum(r.numerator for k, r in rows if k >= big_k)
+        den = sum(r.denominator for k, r in rows if k >= big_k)
+        cumulative.append(f"{big_k},{num / den:.12g}")
+    points = table.points(5)
+    fit = linear_fit(points)
+    fit_lines = [
+        "slope,intercept,r,n_points",
+        f"{fit.slope:.12g},{fit.intercept:.12g},{fit.r:.12g},{len(points)}",
+    ]
+
+    def lines(path):
+        return path.read_text().splitlines()
+
+    assert lines(tmp_path / "sub" / "subgraph_edges.csv") == edges
+    assert len(edges) > 20
+    for out in ("sub", "inf"):
+        assert lines(tmp_path / out / "subgraph_summary.csv") == summary
+    assert lines(tmp_path / "inf" / "attendance.csv") == attendance
+    assert lines(tmp_path / "inf" / "cumulative.csv") == cumulative
+    assert lines(tmp_path / "inf" / "fit.csv") == fit_lines
+
+
+def test_calendar_keeps_both_edges_and_drops_the_end_instant(tmp_path, capsys):
+    # one derived week: records at its first and last second are kept, a
+    # record at the exclusive end is dropped and counted
+    import datetime as dt
+
+    from cdrevents import CallRecord, DatasetCalendar, Direction, write_cdr_file
+
+    week = DatasetCalendar(dt.date(2012, 1, 2), 1, -180)
+    lo, hi = week.start_epoch_seconds, week.end_epoch_seconds
+    cdr = tmp_path / "cdr.csv"
+    with open(cdr, "wb") as stream:
+        write_cdr_file(
+            [CallRecord("a", "b", Direction.OUTGOING, ts, "L1") for ts in (lo, hi - 1, hi)],
+            stream,
+        )
+    out = tmp_path / "rep"
+    assert main(["report", str(cdr), "--antenna", "L1", "--out", str(out)]) == 0
+    assert "dropped 1 records outside the 1 whole calendar weeks" in capsys.readouterr().err
+    rows = (out / "index_L1.csv").read_text().splitlines()[1:]
+    assert len(rows) == 7 * 24
+    defined = [row for row in rows if not row.endswith(",nan")]
+    assert defined == ["0,0,0,1", "0,6,23,1"]

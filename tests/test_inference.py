@@ -87,6 +87,20 @@ def test_cumulative_examples():
     assert cumulative[1].p == 0.5
 
 
+def test_cumulative_fills_k_without_exact_row():
+    # X has 3 attending contacts, everyone else at most 1: no k = 2 row
+    graph = graph_of(("A", "X"), ("B", "X"), ("C", "X"), ("A", "Y"), ("A", "B"))
+    table = attendance_probability(graph, {"A", "B", "C"})
+    assert sorted(table.rows) == [1, 3]
+    cumulative = table.cumulative()
+    assert {k: (r.numerator, r.denominator) for k, r in cumulative.items()} == {
+        1: (2, 4),
+        2: (0, 1),
+        3: (0, 1),
+    }
+    assert list(cumulative) == [1, 2, 3]
+
+
 def test_points_filter_by_denominator():
     star = graph_of(*[("C", f"L{i}") for i in range(4)])
     table = attendance_probability(star, {"C"})
