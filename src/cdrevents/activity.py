@@ -5,16 +5,21 @@ The index divides each (antenna, week, day-of-week, hour) call count by the
 mean count of the same (day-of-week, hour) slot across every week of the
 dataset, including the current one; a value of 1 means typical traffic.
 Slots whose across-week total is zero have no meaningful baseline and carry
-an undefined index (stored as None), which is excluded from thresholding and
-can never be flagged.
+an undefined index (NaN in the grid, None through ``values``), which is
+excluded from thresholding and can never be flagged.
+
+Both the cube and the index are dense grids of shape
+(n_antennas, n_weeks, 168): row i belongs to the i-th antenna and column
+``dow * 24 + hour`` to that hour of the week.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -38,20 +43,91 @@ class SilentAntennaError(ValueError):
     """An antenna has no defined index values at all (zero traffic)."""
 
 
-@dataclass(frozen=True)
-class ActivityCube:
-    """Sparse per-antenna hourly call counts; absent keys mean zero."""
+class _GridView(Mapping):
+    """Read-only SlotKey mapping over an (antenna, week, 168) grid, keys in
+    grid order.  A sparse view lists only the non-zero cells; a dense view
+    lists every cell and reads NaN as None.
 
-    counts: Mapping[SlotKey, int]
-    calendar: DatasetCalendar
-    antennas: frozenset[str]
+    ``cells`` is the grid itself, or a SlotKey mapping that is densified
+    once (absent keys read as zero, or as NaN in a dense view).
+    """
+
+    def __init__(self, cells, antennas: tuple[str, ...], n_weeks: int, sparse: bool):
+        self._antennas, self._sparse = antennas, sparse
+        self._rows = {a: i for i, a in enumerate(antennas)}
+        self.grid = cells
+        if not isinstance(cells, np.ndarray):
+            shape = (len(antennas), n_weeks, SLOTS_PER_WEEK)
+            self.grid = np.full(shape, 0 if sparse else np.nan)
+            for key, value in cells.items():
+                self.grid[self.index(key)] = np.nan if value is None else value
+        self.grid.flags.writeable = False
+        self._len = int(np.count_nonzero(self.grid)) if sparse else self.grid.size
+
+    def row(self, antenna: str) -> np.ndarray:
+        """The (n_weeks, 168) grid of one antenna."""
+        if antenna not in self._rows:
+            raise KeyError(f"unknown antenna {antenna!r}")
+        return self.grid[self._rows[antenna]]
+
+    def index(self, key: SlotKey) -> tuple[int, int, int]:
+        antenna, week, dow, hour = key
+        if not (
+            antenna in self._rows
+            and 0 <= week < self.grid.shape[1]
+            and 0 <= dow < DAYS_PER_WEEK
+            and 0 <= hour < HOURS_PER_DAY
+        ):
+            raise KeyError(key)
+        return self._rows[antenna], week, dow * HOURS_PER_DAY + hour
+
+    def __getitem__(self, key: SlotKey) -> float | None:
+        value = self.grid.item(self.index(key))
+        if not self._sparse:
+            return None if value != value else value
+        if not value:
+            raise KeyError(key)
+        return value
+
+    def __iter__(self) -> Iterator[SlotKey]:
+        if not self._sparse:
+            weeks = range(self.grid.shape[1])
+            days, hours = range(DAYS_PER_WEEK), range(HOURS_PER_DAY)
+            yield from itertools.product(self._antennas, weeks, days, hours)
+            return
+        for row, week, slot in np.argwhere(self.grid).tolist():
+            yield self._antennas[row], week, *divmod(slot, HOURS_PER_DAY)
+
+    def __len__(self) -> int:
+        return self._len
+
+
+class ActivityCube:
+    """Per-antenna hourly call counts.
+
+    ``counts`` is a SlotKey mapping (absent keys mean zero) or an int64
+    (n_antennas, n_weeks, 168) array whose rows follow ``sorted(antennas)``.
+    ``grid`` holds the array; ``counts`` becomes a view of its non-zero cells.
+    """
+
+    def __init__(
+        self,
+        counts: Mapping[SlotKey, int] | np.ndarray,
+        calendar: DatasetCalendar,
+        antennas: Iterable[str],
+    ) -> None:
+        self.calendar = calendar
+        self.antennas = frozenset(antennas)
+        rows = tuple(sorted(self.antennas))
+        self.counts = _GridView(counts, rows, calendar.n_weeks, sparse=True)
+        self.grid = self.counts.grid
 
     def count(self, antenna: str, week: int, dow: int, hour: int) -> int:
         return self.counts.get((antenna, week, dow, hour), 0)
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.grid.sum())
 
 
 def aggregate(
@@ -67,17 +143,11 @@ def aggregate(
     used them (they stay all-zero and are later reported as silent).
     """
     n = len(records)
-    antenna_codes: dict[str, int] = {}
-    if n == 0:
-        return ActivityCube({}, calendar, frozenset(extra_antennas))
-
+    antennas = {r.antenna for r in records}.union(extra_antennas)
+    row_of = {a: i for i, a in enumerate(sorted(antennas))}
+    rows = np.fromiter((row_of[r.antenna] for r in records), dtype=np.int64, count=n)
     timestamps = np.fromiter(
         (r.timestamp for r in records), dtype=np.int64, count=n
-    )
-    codes = np.fromiter(
-        (antenna_codes.setdefault(r.antenna, len(antenna_codes)) for r in records),
-        dtype=np.int64,
-        count=n,
     )
     shifted = timestamps + calendar.utc_offset_minutes * 60
     day = shifted // SECONDS_PER_DAY - calendar._start_day
@@ -91,55 +161,51 @@ def aggregate(
     hour = shifted % SECONDS_PER_DAY // SECONDS_PER_HOUR
     slot = day * HOURS_PER_DAY + hour  # hour slot within the calendar
     slots_total = calendar.n_weeks * SLOTS_PER_WEEK
-    flat = codes * slots_total + slot
-    binned = np.bincount(flat, minlength=len(antenna_codes) * slots_total)
-
-    antenna_ids = list(antenna_codes)
-    counts: dict[SlotKey, int] = {}
-    for idx in np.nonzero(binned)[0].tolist():
-        code, slot_idx = divmod(idx, slots_total)
-        day_idx, hour_idx = divmod(slot_idx, HOURS_PER_DAY)
-        week_idx, dow_idx = divmod(day_idx, DAYS_PER_WEEK)
-        counts[(antenna_ids[code], week_idx, dow_idx, hour_idx)] = int(binned[idx])
-    universe = frozenset(antenna_ids) | frozenset(extra_antennas)
-    return ActivityCube(counts, calendar, universe)
+    binned = np.bincount(rows * slots_total + slot, minlength=len(row_of) * slots_total)
+    grid = binned.reshape(len(row_of), calendar.n_weeks, SLOTS_PER_WEEK)
+    return ActivityCube(grid, calendar, antennas)
 
 
-@dataclass(frozen=True)
 class EventIndexSeries:
-    """Normalized index per slot for every antenna; None marks slots whose
-    (day-of-week, hour) family never saw a call."""
+    """Normalized index per slot for every antenna.
 
-    values: Mapping[SlotKey, float | None]
-    n_weeks: int
-    antennas: tuple[str, ...]
+    ``values`` is a SlotKey mapping (absent keys are undefined) or a float64
+    (n_antennas, n_weeks, 168) array whose rows follow ``antennas``, NaN
+    marking slots whose (day-of-week, hour) family never saw a call.
+    ``grid`` holds the array; ``values`` becomes a view of every cell, NaN
+    read as None.
+    """
+
+    def __init__(
+        self,
+        values: Mapping[SlotKey, float | None] | np.ndarray,
+        n_weeks: int,
+        antennas: Sequence[str],
+    ) -> None:
+        self.n_weeks = n_weeks
+        self.antennas = tuple(antennas)
+        self.values = _GridView(values, self.antennas, n_weeks, sparse=False)
+        self.grid = self.values.grid
 
     def value(self, antenna: str, week: int, dow: int, hour: int) -> float | None:
         return self.values[(antenna, week, dow, hour)]
 
     def defined_values(self, antenna: str) -> list[float]:
         """All defined index values of one antenna over the whole period."""
-        out = []
-        for week in range(self.n_weeks):
-            for dow in range(DAYS_PER_WEEK):
-                for hour in range(HOURS_PER_DAY):
-                    v = self.values[(antenna, week, dow, hour)]
-                    if v is not None:
-                        out.append(v)
-        return out
+        row = self.values.row(antenna)
+        return row[~np.isnan(row)].tolist()
 
     def antenna_rows(self, antenna: str) -> Iterator[tuple[int, int, int, float | None]]:
         """(week, dow, hour, value) rows for one antenna, in calendar order."""
-        if antenna not in self.antennas:
-            raise KeyError(f"unknown antenna {antenna!r}")
-        for week in range(self.n_weeks):
-            for dow in range(DAYS_PER_WEEK):
-                for hour in range(HOURS_PER_DAY):
-                    yield week, dow, hour, self.values[(antenna, week, dow, hour)]
+        for week, slots in enumerate(self.values.row(antenna).tolist()):
+            for slot, value in enumerate(slots):
+                dow, hour = divmod(slot, HOURS_PER_DAY)
+                yield week, dow, hour, None if value != value else value
 
     def silent_antennas(self) -> list[str]:
         """Antennas with no defined values anywhere (nothing to threshold)."""
-        return [a for a in self.antennas if not self.defined_values(a)]
+        silent = np.isnan(self.grid).all(axis=(1, 2))
+        return [a for a, quiet in zip(self.antennas, silent.tolist()) if quiet]
 
 
 def event_index(cube: ActivityCube) -> EventIndexSeries:
@@ -149,40 +215,44 @@ def event_index(cube: ActivityCube) -> EventIndexSeries:
     count over all weeks, current week included, so the largest attainable
     value is the number of weeks.  Each value is computed as a single
     division count*n_weeks/total, which keeps the result invariant under
-    scaling all counts by a common factor.
+    scaling all counts by a common factor.  Both operands are integers below
+    2**53, so the float64 quotient is the correctly rounded one Python's
+    int/int gives.
     """
-    n = cube.calendar.n_weeks
-    values: dict[SlotKey, float | None] = {}
-    get = cube.counts.get
-    for antenna in sorted(cube.antennas):
-        for dow in range(DAYS_PER_WEEK):
-            for hour in range(HOURS_PER_DAY):
-                weekly = [get((antenna, week, dow, hour), 0) for week in range(n)]
-                total = sum(weekly)
-                if total == 0:
-                    for week in range(n):
-                        values[(antenna, week, dow, hour)] = None
-                else:
-                    for week, c in enumerate(weekly):
-                        values[(antenna, week, dow, hour)] = (c * n) / total
-    return EventIndexSeries(values, n, tuple(sorted(cube.antennas)))
+    counts = cube.grid
+    total = counts.sum(axis=1, keepdims=True)
+    index = np.divide(
+        counts * cube.calendar.n_weeks,
+        total,
+        out=np.full(counts.shape, np.nan),
+        where=total != 0,
+    )
+    return EventIndexSeries(index, cube.calendar.n_weeks, sorted(cube.antennas))
+
+
+def _rank(p: float, n: int) -> int:
+    """Nearest rank ceil(p*n), at least 1, for a percentile p in (0, 1].
+
+    Computed in exact rational arithmetic so that the number of values
+    strictly above the rank-th smallest never exceeds floor((1-p)*n),
+    whatever float p is passed.
+    """
+    if not 0 < p <= 1:
+        raise ValueError(f"percentile must be in (0, 1], got {p}")
+    return max(math.ceil(Fraction(p) * n), 1)
 
 
 def percentile_threshold(values: Iterable[float | None], p: float) -> float:
     """Nearest-rank percentile: the ceil(p*N)-th smallest defined value.
 
     Undefined entries (None) are excluded first; an empty defined set raises
-    SilentAntennaError.  The rank is computed in exact rational arithmetic so
-    that the number of values strictly above the threshold never exceeds
-    floor((1-p)*N), whatever float p is passed.
+    SilentAntennaError.
     """
-    if not 0 < p <= 1:
-        raise ValueError(f"percentile must be in (0, 1], got {p}")
     defined = sorted(v for v in values if v is not None)
+    rank = _rank(p, len(defined))
     if not defined:
         raise SilentAntennaError("no defined values to take a percentile of")
-    rank = math.ceil(Fraction(p) * len(defined))
-    return defined[max(rank, 1) - 1]
+    return defined[rank - 1]
 
 
 @dataclass(frozen=True)
@@ -207,39 +277,25 @@ def detect_events(series: EventIndexSeries, p: float = 0.99) -> list[DetectedEve
     history.  Antennas with no defined values are skipped (see
     EventIndexSeries.silent_antennas for the list).
     """
+    n_antennas = len(series.antennas)
+    grid = series.grid.reshape(n_antennas, series.n_weeks, DAYS_PER_WEEK, HOURS_PER_DAY)
+    thresholds = np.full((n_antennas, 1, 1, 1), np.nan)  # NaN flags nothing
+    for i, row in enumerate(grid):
+        defined = row[~np.isnan(row)]
+        if defined.size:
+            k = _rank(p, defined.size) - 1
+            thresholds[i] = np.partition(defined, k)[k]
+    flagged = grid > thresholds
+
     events: list[DetectedEvent] = []
-    for antenna in series.antennas:
-        defined = series.defined_values(antenna)
-        if not defined:
-            continue
-        threshold = percentile_threshold(defined, p)
-        for week in range(series.n_weeks):
-            for dow in range(DAYS_PER_WEEK):
-                run: list[tuple[int, float]] = []
-                for hour in range(HOURS_PER_DAY):
-                    v = series.values[(antenna, week, dow, hour)]
-                    if v is not None and v > threshold:
-                        run.append((hour, v))
-                        continue
-                    if run:
-                        events.append(_merge_run(antenna, week, dow, run))
-                        run = []
-                if run:
-                    events.append(_merge_run(antenna, week, dow, run))
+    for i, week, dow in np.argwhere(flagged.any(axis=3)).tolist():
+        antenna, values, hour = series.antennas[i], grid[i, week, dow].tolist(), 0
+        for on, run in itertools.groupby(flagged[i, week, dow].tolist()):
+            end = hour + len(list(run))
+            if on:
+                slots = tuple((antenna, week, dow, h) for h in range(hour, end))
+                peak = max(values[hour:end])
+                events.append(DetectedEvent(antenna, week, dow, hour, end, peak, slots))
+            hour = end
     events.sort(key=lambda e: (e.antenna, e.week, e.dow, e.start_hour))
     return events
-
-
-def _merge_run(
-    antenna: str, week: int, dow: int, run: list[tuple[int, float]]
-) -> DetectedEvent:
-    hours = [h for h, _ in run]
-    return DetectedEvent(
-        antenna=antenna,
-        week=week,
-        dow=dow,
-        start_hour=hours[0],
-        end_hour=hours[-1] + 1,
-        peak_index=max(v for _, v in run),
-        slots=tuple((antenna, week, dow, h) for h in hours),
-    )

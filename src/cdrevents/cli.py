@@ -19,9 +19,8 @@ import datetime as dt
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Mapping
+from typing import IO, Iterator
 
 from . import activity, inference, social, synth
 from .ingest import (
@@ -51,19 +50,10 @@ class CliError(Exception):
     """User-facing failure; message printed to stderr, exit status 1."""
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What a command was asked to do: inputs, output directory, parameters."""
-
-    command: str
-    inputs: tuple[Path, ...]
-    out_dir: Path
-    parameters: Mapping[str, object]
-
-    def check_inputs(self) -> None:
-        for path in self.inputs:
-            if not path.exists():
-                raise CliError(f"input path does not exist: {path}")
+def _check_inputs(*paths: Path) -> None:
+    for path in paths:
+        if not path.exists():
+            raise CliError(f"input path does not exist: {path}")
 
 
 @contextlib.contextmanager
@@ -177,10 +167,7 @@ def _calendar_for(records, args):
 
 
 def cmd_generate(args) -> int:
-    manifest = RunManifest(
-        "generate", (args.config,), args.out, {"seed": args.seed}
-    )
-    manifest.check_inputs()
+    _check_inputs(args.config)
     config = synth.load_config(args.config)
     if args.seed is not None:
         config = synth.with_seed(config, args.seed)
@@ -205,13 +192,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    manifest = RunManifest(
-        "detect",
-        (args.cdr, args.roster),
-        args.out,
-        {"percentile": args.percentile, "utc_offset": args.utc_offset},
-    )
-    manifest.check_inputs()
+    _check_inputs(args.cdr, args.roster)
     if not 0 < args.percentile <= 1:
         raise CliError(f"--percentile must be in (0, 1], got {args.percentile}")
     records, _clients = _load_corpus(args.cdr, args.roster)
@@ -249,10 +230,7 @@ def _write_index_dump(out_dir: Path, series, antenna: str) -> None:
 
 
 def cmd_report(args) -> int:
-    manifest = RunManifest(
-        "report", (args.cdr,), args.out, {"antenna": args.antenna}
-    )
-    manifest.check_inputs()
+    _check_inputs(args.cdr)
     records, _ = _load_corpus(args.cdr, None)
     calendar, in_range = _calendar_for(records, args)
     cube = activity.aggregate(in_range, calendar)
@@ -297,13 +275,7 @@ def _summary_lines(subgraph) -> list[str]:
 
 
 def cmd_subgraph(args) -> int:
-    manifest = RunManifest(
-        "subgraph",
-        (args.cdr, args.roster),
-        args.out,
-        {"antenna": args.antenna, "date": args.date, "window": args.window},
-    )
-    manifest.check_inputs()
+    _check_inputs(args.cdr, args.roster)
     _, subgraph = _window_analysis(args)
     edge_lines = ["u,v"] + [f"{u},{v}" for u, v in sorted(subgraph.edges)]
     write_lines(args.out / "subgraph_edges.csv", edge_lines)
@@ -316,18 +288,7 @@ def cmd_subgraph(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    manifest = RunManifest(
-        "infer",
-        (args.cdr, args.roster),
-        args.out,
-        {
-            "antenna": args.antenna,
-            "date": args.date,
-            "window": args.window,
-            "min_denominator": args.min_denominator,
-        },
-    )
-    manifest.check_inputs()
+    _check_inputs(args.cdr, args.roster)
     graph, subgraph = _window_analysis(args)
     table = inference.attendance_probability(graph, subgraph.attenders)
     cumulative = table.cumulative()

@@ -8,6 +8,7 @@ lines are rejected individually and reported, never silently dropped.
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -15,6 +16,9 @@ from .model import CallRecord, Direction
 
 CDR_HEADER = "located_user,other_party,direction,timestamp,antenna"
 MAX_REPORTED_ERRORS = 20
+_WRITE_BATCH = 4096
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 _DIRECTIONS = {d.value: d for d in Direction}
 
@@ -41,7 +45,7 @@ class IngestReport:
             self.first_errors.append((line_no, reason))
 
 
-def _read_lines(stream: IO) -> list[str]:
+def _read_text(stream: IO) -> str:
     try:
         data = stream.read()
     except OSError as exc:
@@ -51,7 +55,13 @@ def _read_lines(stream: IO) -> list[str]:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise IngestError(f"stream is not valid UTF-8: {exc}") from exc
-    return data.splitlines()
+    return data
+
+
+def _is_integer_token(token: str) -> bool:
+    """An optional "-" followed by ASCII digits."""
+    digits = token[1:] if token[:1] == "-" else token
+    return digits.isdigit() and digits.isascii()
 
 
 def parse_cdr_file(stream: IO) -> tuple[list[CallRecord], IngestReport]:
@@ -59,13 +69,21 @@ def parse_cdr_file(stream: IO) -> tuple[list[CallRecord], IngestReport]:
 
     Accepts LF or CRLF line endings.  Every line after the header either
     yields one CallRecord or one rejection entry, so
-    accepted + rejected == data lines.
+    accepted + rejected == data lines.  A timestamp is an optional ``-``
+    followed by ASCII digits, with a value that fits int64.
     """
-    lines = _read_lines(stream)
+    text = _read_text(stream)
+    lines = text.splitlines()
     if not lines:
         raise IngestError("empty CDR stream (missing header)")
     if lines[0] != CDR_HEADER:
         raise IngestError(f"bad CDR header: {lines[0]!r}")
+    # int() also accepts "_", "+", spaces, tabs and non-ASCII digits, which the
+    # format does not; below a header an ASCII text free of them needs no
+    # check per token
+    body = len(CDR_HEADER)
+    int_is_strict = text.isascii() and all(text.find(c, body) < 0 for c in "_+ \t")
+    del text  # free it before the records are built
     records: list[CallRecord] = []
     report = IngestReport()
     for line_no, line in enumerate(lines[1:], start=2):
@@ -81,6 +99,12 @@ def parse_cdr_file(stream: IO) -> tuple[list[CallRecord], IngestReport]:
         try:
             timestamp = int(timestamp_token)
         except ValueError:
+            timestamp = None
+        if (
+            timestamp is None
+            or not (int_is_strict or _is_integer_token(timestamp_token))
+            or not _INT64_MIN <= timestamp <= _INT64_MAX
+        ):
             report.reject(line_no, f"bad timestamp {timestamp_token!r}")
             continue
         try:
@@ -102,14 +126,35 @@ def _line_writer(stream: IO):
 
 
 def write_cdr_file(records: Iterable[CallRecord], stream: IO) -> None:
-    """Write records in the CDR format; re-parsing yields the same sequence."""
+    """Write records in the CDR format; re-parsing yields the same sequence.
+
+    Raises ValueError, naming the record, when an identifier holds a comma
+    or a line break (anything ``str.splitlines`` breaks on), since its line
+    would not parse back; the records before it may already be written.
+    """
     write = _line_writer(stream)
     write(CDR_HEADER + "\n")
-    for r in records:
-        write(
+    records = iter(records)
+    while batch := list(itertools.islice(records, _WRITE_BATCH)):
+        lines = [
             f"{r.located_user},{r.other_party},{r.direction.value},"
             f"{r.timestamp},{r.antenna}\n"
-        )
+            for r in batch
+        ]
+        text = "".join(lines)
+        # identifiers only add commas and breaks; "\r\n" would hide a "\r"
+        if (
+            text.count(",") != 4 * len(lines)
+            or "\r" in text
+            or len(text.splitlines()) != len(lines)
+        ):
+            for record, line in zip(batch, lines):
+                if line.count(",") != 4 or line.splitlines() != [line[:-1]]:
+                    raise ValueError(
+                        f"cannot write {record!r}: an identifier holds a "
+                        "comma or a line break"
+                    )
+        write(text)
 
 
 def load_client_set(stream: IO) -> set[str]:
@@ -118,7 +163,7 @@ def load_client_set(stream: IO) -> set[str]:
     Blank lines are ignored; surrounding whitespace is stripped.
     """
     clients: set[str] = set()
-    for line in _read_lines(stream):
+    for line in _read_text(stream).splitlines():
         token = line.strip()
         if token:
             clients.add(token)

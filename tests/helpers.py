@@ -127,6 +127,46 @@ def index_oracle(counts, antennas, n_weeks):
     return expected
 
 
+def detection_oracle(index, antennas, n_weeks, p):
+    """Brute-force detection over an exact index (``index_oracle`` output).
+
+    Per antenna: sort the defined values, take the ceil(p*N)-th smallest
+    (rank computed on Fractions, at least 1) as the threshold, flag values
+    strictly above it, and merge flagged hours that touch on the same day.
+    Returns sorted (antenna, week, dow, start_hour, end_hour, peak) tuples.
+    """
+    events = []
+    for antenna in sorted(antennas):
+        defined = []
+        for week in range(n_weeks):
+            for dow in range(7):
+                for hour in range(24):
+                    value = index[(antenna, week, dow, hour)]
+                    if value is not None:
+                        defined.append(value)
+        if not defined:
+            continue
+        defined.sort()
+        rank = Fraction(p) * len(defined)
+        rank = max(int(rank) + (rank.denominator != 1), 1)
+        threshold = defined[rank - 1]
+        for week in range(n_weeks):
+            for dow in range(7):
+                start = None
+                for hour in range(25):
+                    value = index[(antenna, week, dow, hour)] if hour < 24 else None
+                    above = value is not None and value > threshold
+                    if above and start is None:
+                        start = hour
+                    if not above and start is not None:
+                        peak = max(
+                            index[(antenna, week, dow, h)] for h in range(start, hour)
+                        )
+                        events.append((antenna, week, dow, start, hour, peak))
+                        start = None
+    return events
+
+
 def attendance_oracle(nodes, edge_list, attendees):
     """Brute-force per-k attendance tally from a raw edge list.
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdrevents.activity import (
@@ -17,7 +17,7 @@ from cdrevents.activity import (
     percentile_threshold,
 )
 from cdrevents.model import CalendarRangeError, DatasetCalendar
-from helpers import OUT, index_oracle, rec
+from helpers import OUT, detection_oracle, index_oracle, rec
 
 CAL = DatasetCalendar(dt.date(2012, 1, 2), n_weeks=3)
 T0 = CAL.start_epoch_seconds
@@ -269,6 +269,100 @@ def test_silent_antennas_skipped_without_error():
     events = detect_events(series, 0.99)
     assert all(ev.antenna == "L1" for ev in events)
     assert series.silent_antennas() == ["L9"]
+
+
+# --- grid views ---------------------------------------------------------------
+
+
+def test_values_view_lists_every_cell_in_calendar_order():
+    counts = {("L2", 1, 3, 5): 4, ("L1", 0, 0, 0): 2}
+    series = event_index(cube_of(counts, n_weeks=2))
+    keys = list(series.values)
+    assert len(series.values) == len(keys) == 2 * 2 * 168
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert keys[:2] == [("L1", 0, 0, 0), ("L1", 0, 0, 1)]
+    assert keys[-1] == ("L2", 1, 6, 23)
+    assert series.values[("L2", 1, 3, 5)] == 2.0
+    assert series.values[("L2", 0, 3, 5)] == 0.0
+    assert series.values[("L1", 1, 3, 5)] is None
+    for key in [("L9", 0, 0, 0), ("L1", 2, 0, 0), ("L1", -1, 0, 0), ("L1", 0, 7, 0),
+                ("L1", 0, 0, 24)]:
+        assert key not in series.values
+        with pytest.raises(KeyError):
+            series.values[key]
+
+
+def test_counts_view_lists_only_nonzero_cells():
+    counts = {("L2", 1, 3, 5): 4, ("L1", 0, 0, 0): 2, ("L1", 1, 0, 0): 0}
+    cube = cube_of(counts, n_weeks=2)
+    assert len(cube.counts) == 2
+    assert list(cube.counts) == [("L1", 0, 0, 0), ("L2", 1, 3, 5)]
+    assert cube.counts == {("L1", 0, 0, 0): 2, ("L2", 1, 3, 5): 4}
+    assert cube.count("L1", 1, 0, 0) == 0 and cube.count("L9", 0, 0, 0) == 0
+    with pytest.raises(KeyError):
+        cube.counts[("L1", 1, 0, 0)]
+
+
+# --- detection against the brute-force oracle --------------------------------
+
+# runs touching both ends of a day, ties at the threshold, a silent antenna
+EDGE_RUNS = {
+    **{("A0", 0, 2, h): 3 for h in (0, 22, 23)},
+    **{("A0", 1, 2, h): 1 for h in (0, 1, 22, 23)},
+    ("A0", 0, 2, 1): 4,
+    ("A0", 0, 2, 5): 2,
+    ("A0", 1, 2, 5): 2,
+}
+
+
+@st.composite
+def corpus_counts(draw):
+    n_weeks = draw(st.integers(1, 3))
+    hours = st.one_of(st.sampled_from([0, 1, 22, 23]), st.integers(0, 23))
+    slot = st.tuples(
+        st.sampled_from(["A0", "A1", "A2"]),
+        st.integers(0, n_weeks - 1),
+        st.integers(0, 6),
+        hours,
+    )
+    counts = draw(st.dictionaries(slot, st.integers(1, 4), max_size=40))
+    extra = draw(st.lists(st.sampled_from(["A0", "S1", "S2"]), max_size=2))
+    return n_weeks, counts, extra
+
+
+@given(corpus_counts(), st.one_of(st.just(1.0), st.floats(0.05, 1.0)))
+@example((1, {}, []), 1.0)
+@example((2, EDGE_RUNS, ["S1"]), 0.6)
+@settings(max_examples=150)
+def test_detection_matches_brute_force_oracle(case, p):
+    n_weeks, counts, extra = case
+    cal = DatasetCalendar(dt.date(2012, 1, 2), n_weeks)
+    records = [
+        rec("A", "B", OUT, cal.start_epoch_seconds + ((w * 7 + d) * 24 + h) * 3600 + i,
+            antenna=a)
+        for (a, w, d, h), c in counts.items()
+        for i in range(c)
+    ]
+    cube = aggregate(records, cal, extra_antennas=extra)
+    events = detect_events(event_index(cube), p)
+    antennas = {key[0] for key in counts} | set(extra)
+    exact = index_oracle(counts, antennas, n_weeks)
+    expected = detection_oracle(exact, antennas, n_weeks, p)
+    got = [(e.antenna, e.week, e.dow, e.start_hour, e.end_hour, e.peak_index)
+           for e in events]
+    assert got == [(*e[:5], float(e[5])) for e in expected]
+    for e in events:
+        hours = range(e.start_hour, e.end_hour)
+        assert e.slots == tuple((e.antenna, e.week, e.dow, h) for h in hours)
+
+
+def test_edge_runs_example_flags_both_ends_of_the_day():
+    cal = DatasetCalendar(dt.date(2012, 1, 2), 2)
+    events = detect_events(event_index(ActivityCube(EDGE_RUNS, cal, {"A0", "S1"})), 0.6)
+    assert [(e.start_hour, e.end_hour, e.peak_index) for e in events] == [
+        (0, 2, 1.6),
+        (22, 24, 1.5),
+    ]
 
 
 # --- invariant properties ---------------------------------------------------

@@ -187,6 +187,17 @@ def test_detect_reports_rejected_lines(tmp_path, capsys):
     assert "rejected 1" in capsys.readouterr().err
 
 
+def test_detect_rejects_timestamp_beyond_int64(tmp_path, capsys):
+    cdr, roster, _ = generate_corpus(tmp_path, DETECT_CONFIG)
+    with open(cdr, "a") as stream:
+        stream.write("u000001,u000002,out,100000000000000000000000,A000\n")
+    status = main(["detect", str(cdr), str(roster), "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert status == 0
+    assert "rejected 1" in err and "bad timestamp" in err
+    assert "Traceback" not in err
+
+
 # --- report ---------------------------------------------------------------------
 
 

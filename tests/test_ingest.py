@@ -55,6 +55,19 @@ def test_self_call_rejected_with_reason_and_line_number():
         ("A,B,sideways,1,L1", "direction"),
         ("A,B,out,noon,L1", "timestamp"),
         ("A,B,out,1.5,L1", "timestamp"),
+        ("A,B,out,1_330_000_000,L1", "timestamp"),
+        ("A,B,out, 1330000000 ,L1", "timestamp"),
+        ("A,B,out,1330000000\t,L1", "timestamp"),
+        ("A,B,out,+5,L1", "timestamp"),
+        ("A,B,out,--5,L1", "timestamp"),
+        ("A,B,out,-,L1", "timestamp"),
+        ("A,B,out,,L1", "timestamp"),
+        ("A,B,out,\u0661\u0663,L1", "timestamp"),  # Arabic-Indic digits
+        ("A,B,out,-\u0663,L1", "timestamp"),
+        ("A,B,out,\u00b2,L1", "timestamp"),  # superscript two
+        ("A,B,out,100000000000000000000000,L1", "timestamp"),
+        ("A,B,out,9223372036854775808,L1", "timestamp"),
+        ("A,B,out,-9223372036854775809,L1", "timestamp"),
         (",B,out,1,L1", "empty identifier"),
         ("", "5 fields"),
     ],
@@ -64,6 +77,35 @@ def test_malformed_lines_rejected(line, reason_part):
     assert records == []
     assert report.rejected == 1
     assert reason_part in report.first_errors[0][1]
+
+
+def test_timestamps_fill_the_int64_range():
+    # a non-ASCII identifier makes the file non-ASCII, so tokens are checked one by one
+    body = "\n".join(
+        ["A,B,out,9223372036854775807,L1", "A,B,in,-9223372036854775808,L1",
+         "\u00e9,B,out,-0,L1", "A,B,out,007,L1"]
+    )
+    records, report = parse_text(CDR_HEADER + "\n" + body + "\n")
+    assert report.rejected == 0
+    assert [r.timestamp for r in records] == [2**63 - 1, -(2**63), 0, 7]
+
+
+@pytest.mark.parametrize(
+    "located,other,antenna",
+    [
+        ("u1,x", "u2\nu3", "A000"),
+        ("u1", "u2", "A000\r"),
+        ("u1", "u2\u2028", "A000"),
+        ("u1\x0b", "u2", "A000"),
+        ("u1", "u2", "A0,00"),
+    ],
+)
+def test_writer_refuses_identifiers_that_cannot_round_trip(located, other, antenna):
+    good = rec("A", "B", OUT, 1)
+    bad = CallRecord(located, other, OUT, 1325500000, antenna)
+    with pytest.raises(ValueError, match="cannot write") as info:
+        write_cdr_file([good] * 5000 + [bad], io.BytesIO())
+    assert repr(bad) in str(info.value)
 
 
 def test_accepted_plus_rejected_covers_every_data_line():
