@@ -37,6 +37,7 @@ from .ingest import (
 from .model import (
     CalendarRangeError,
     CallRecord,
+    CallTable,
     ContactGraph,
     DatasetCalendar,
     Direction,
@@ -71,6 +72,7 @@ __all__ = [
     "AttendanceTable",
     "CalendarRangeError",
     "CallRecord",
+    "CallTable",
     "ConfigError",
     "ContactGraph",
     "DatasetCalendar",

@@ -29,6 +29,7 @@ from .model import (
     SECONDS_PER_HOUR,
     CalendarRangeError,
     CallRecord,
+    CallTable,
     DatasetCalendar,
 )
 
@@ -140,28 +141,33 @@ def aggregate(
     Every record must fall inside the calendar; an out-of-range timestamp
     raises CalendarRangeError since it indicates a misconfigured calendar.
     ``extra_antennas`` adds antennas known to exist even if no record ever
-    used them (they stay all-zero and are later reported as silent).
+    used them (they stay all-zero and are later reported as silent).  A grid
+    too large to index raises MemoryError.
     """
-    n = len(records)
-    antennas = {r.antenna for r in records}.union(extra_antennas)
+    table = CallTable.from_records(records)
+    used = np.flatnonzero(np.bincount(table.antenna, minlength=len(table.antennas)))
+    names = [table.antennas[code] for code in used.tolist()]
+    antennas = set(names).union(extra_antennas)
     row_of = {a: i for i, a in enumerate(sorted(antennas))}
-    rows = np.fromiter((row_of[r.antenna] for r in records), dtype=np.int64, count=n)
-    timestamps = np.fromiter(
-        (r.timestamp for r in records), dtype=np.int64, count=n
-    )
-    shifted = timestamps + calendar.utc_offset_minutes * 60
+    rows_of_codes = np.zeros(len(table.antennas), dtype=np.int64)
+    rows_of_codes[used] = [row_of[name] for name in names]
+    shifted = table.timestamp + calendar.utc_offset_minutes * 60
     day = shifted // SECONDS_PER_DAY - calendar._start_day
     out_of_range = (day < 0) | (day >= calendar.n_weeks * DAYS_PER_WEEK)
     if out_of_range.any():
-        bad = int(timestamps[out_of_range][0])
+        bad = int(table.timestamp[out_of_range][0])
         raise CalendarRangeError(
             f"record timestamp {bad} outside calendar starting "
             f"{calendar.epoch_start} ({calendar.n_weeks} weeks)"
         )
+    slots_total = calendar.n_weeks * SLOTS_PER_WEEK
+    cells = len(row_of) * slots_total
+    if cells > np.iinfo(np.intp).max // 8:  # beyond any address space
+        raise MemoryError(f"an activity grid of {cells} cells cannot be allocated")
     hour = shifted % SECONDS_PER_DAY // SECONDS_PER_HOUR
     slot = day * HOURS_PER_DAY + hour  # hour slot within the calendar
-    slots_total = calendar.n_weeks * SLOTS_PER_WEEK
-    binned = np.bincount(rows * slots_total + slot, minlength=len(row_of) * slots_total)
+    flat = rows_of_codes[table.antenna] * slots_total + slot
+    binned = np.bincount(flat, minlength=cells)
     grid = binned.reshape(len(row_of), calendar.n_weeks, SLOTS_PER_WEEK)
     return ActivityCube(grid, calendar, antennas)
 

@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import datetime as dt
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -44,6 +45,8 @@ SUMMARY_HEADER = "attenders,social_attenders,singlets,max_component"
 ATTENDANCE_HEADER = "k,numerator,denominator,p"
 CUMULATIVE_HEADER = "K,p"
 FIT_HEADER = "slope,intercept,r,n_points"
+# real UTC offsets run from -12:00 to +14:00
+MAX_UTC_OFFSET_MINUTES = 14 * 60
 
 
 class CliError(Exception):
@@ -84,27 +87,28 @@ def fmt(value: float) -> str:
 
 
 def parse_utc_offset(token: str) -> int:
-    """'±HH:MM' to signed minutes."""
-    try:
-        sign = {"+": 1, "-": -1}[token[0]]
-        hours, minutes = token[1:].split(":")
-        if len(hours) != 2 or len(minutes) != 2 or not 0 <= int(minutes) < 60:
-            raise ValueError(token)
-        return sign * (int(hours) * 60 + int(minutes))
-    except (KeyError, ValueError, IndexError):
+    """'±HH:MM' (ASCII digits, at most 14:00) to signed minutes."""
+    match = re.fullmatch(r"([+-])([0-9]{2}):([0-9]{2})", token)
+    if match is None or int(match[3]) >= 60:
         raise argparse.ArgumentTypeError(
             f"bad UTC offset {token!r}, expected ±HH:MM"
-        ) from None
+        )
+    minutes = int(match[2]) * 60 + int(match[3])
+    if minutes > MAX_UTC_OFFSET_MINUTES:
+        raise argparse.ArgumentTypeError(
+            f"bad UTC offset {token!r}: beyond ±14:00"
+        )
+    return minutes if match[1] == "+" else -minutes
 
 
 def parse_window(token: str) -> tuple[int, int]:
-    """'HH:HH' to a half-open hour range."""
-    try:
-        start, end = (int(part) for part in token.split(":"))
-    except ValueError:
+    """'HH:HH' (ASCII digits) to a half-open hour range."""
+    match = re.fullmatch(r"([0-9]{2}):([0-9]{2})", token)
+    if match is None:
         raise argparse.ArgumentTypeError(
             f"bad window {token!r}, expected HH:HH"
-        ) from None
+        )
+    start, end = int(match[1]), int(match[2])
     if not 0 <= start < end <= 24:
         raise argparse.ArgumentTypeError(
             f"bad window {token!r}: need 0 <= start < end <= 24"
@@ -155,7 +159,7 @@ def _calendar_for(records, args):
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     lo, hi = calendar.start_epoch_seconds, calendar.end_epoch_seconds
-    in_range = [r for r in records if lo <= r.timestamp < hi]
+    in_range = records[(records.timestamp >= lo) & (records.timestamp < hi)]
     dropped = len(records) - len(in_range)
     if dropped:
         print(
@@ -164,6 +168,18 @@ def _calendar_for(records, args):
             file=sys.stderr,
         )
     return calendar, in_range
+
+
+def _index_series(in_range, calendar):
+    """Event index of the in-calendar records."""
+    try:
+        return activity.event_index(activity.aggregate(in_range, calendar))
+    except MemoryError:
+        n_antennas = len(set(in_range.antenna.tolist()))
+        raise CliError(
+            f"the derived calendar of {calendar.n_weeks} weeks and {n_antennas} "
+            "antennas gives an activity grid too large for memory"
+        ) from None
 
 
 def cmd_generate(args) -> int:
@@ -197,8 +213,7 @@ def cmd_detect(args) -> int:
         raise CliError(f"--percentile must be in (0, 1], got {args.percentile}")
     records, _clients = _load_corpus(args.cdr, args.roster)
     calendar, in_range = _calendar_for(records, args)
-    cube = activity.aggregate(in_range, calendar)
-    series = activity.event_index(cube)
+    series = _index_series(in_range, calendar)
     events = activity.detect_events(series, args.percentile)
 
     if args.dump_index is not None:
@@ -233,8 +248,7 @@ def cmd_report(args) -> int:
     _check_inputs(args.cdr)
     records, _ = _load_corpus(args.cdr, None)
     calendar, in_range = _calendar_for(records, args)
-    cube = activity.aggregate(in_range, calendar)
-    series = activity.event_index(cube)
+    series = _index_series(in_range, calendar)
     _write_index_dump(args.out, series, args.antenna)
     print(f"wrote index series for {args.antenna} ({calendar.n_weeks} weeks)")
     return 0
@@ -257,9 +271,7 @@ def _window_analysis(args):
             f"{start_hour:02d}:00-{end_hour:02d}:00"
         )
     # every later step reads only neighbors(u) of attenders u: their edges suffice
-    graph = build_contact_graph(
-        r for r in in_range if r.located_user in present or r.other_party in present
-    )
+    graph = build_contact_graph(in_range.touching(present))
     subgraph = social.induce_subgraph(graph, present)
     return graph, subgraph
 

@@ -1,14 +1,20 @@
-"""Core domain types: call records, time-stamped call edges, the contact
-graph, and the dataset calendar that maps timestamps to (week, day, hour)
-slots."""
+"""Core domain types: call records and the columnar table that holds a
+corpus of them, time-stamped call edges, the contact graph, and the dataset
+calendar that maps timestamps to (week, day, hour) slots."""
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
+import itertools
+import operator
 from collections import defaultdict
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
+
+import numpy as np
 
 SECONDS_PER_HOUR = 3_600
 SECONDS_PER_DAY = 86_400
@@ -61,6 +67,133 @@ class CallRecord(_CallRecordFields):
         return super().__new__(
             cls, located_user, other_party, direction, timestamp, antenna
         )
+
+
+_DIRECTION_OF = (Direction.INCOMING, Direction.OUTGOING)  # indexed by outgoing
+_ITER_CHUNK = 65_536
+
+
+def _vocabulary_codes(vocabulary: Sequence[str], names: Iterable[str]) -> np.ndarray:
+    """Codes of the ``names`` found in a sorted vocabulary; others are skipped."""
+    codes = []
+    for name in names:
+        i = bisect.bisect_left(vocabulary, name)
+        if i < len(vocabulary) and vocabulary[i] == name:
+            codes.append(i)
+    return np.array(codes, dtype=np.int32)
+
+
+@dataclass(frozen=True, eq=False)
+class CallTable(Sequence):
+    """A corpus of located call legs held as columns.
+
+    Row i is the record ``(users[located[i]], users[other[i]], OUTGOING if
+    outgoing[i] else INCOMING, timestamp[i], antennas[antenna[i]])``.  Both
+    vocabularies are sorted, so code order is string order; they may hold
+    identifiers no row uses (a sub-table keeps its parent's).  The columns
+    are read-only.
+
+    The table is a read-only ``Sequence[CallRecord]``: records are built on
+    access, ``==`` compares it with any record sequence, and indexing with a
+    slice or a bool mask gives a sub-table.
+    """
+
+    timestamp: np.ndarray  # int64 epoch seconds
+    located: np.ndarray  # int32 codes into users
+    other: np.ndarray  # int32 codes into users
+    outgoing: np.ndarray  # bool
+    antenna: np.ndarray  # int32 codes into antennas
+    users: tuple[str, ...]
+    antennas: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        for column in (self.timestamp, self.located, self.other, self.outgoing, self.antenna):
+            column.flags.writeable = False
+
+    @classmethod
+    def from_records(cls, records: Iterable[CallRecord]) -> "CallTable":
+        """Encode records (already validated by CallRecord) as a table."""
+        if isinstance(records, CallTable):
+            return records
+        if not isinstance(records, Sequence):
+            records = list(records)
+        n = len(records)
+        field = operator.itemgetter
+        users = sorted(set(map(field(0), records)).union(map(field(1), records)))
+        antennas = sorted(set(map(field(4), records)))
+
+        def codes(vocabulary: list[str], column: int) -> np.ndarray:
+            code_of = {name: i for i, name in enumerate(vocabulary)}.__getitem__
+            return np.fromiter(map(code_of, map(field(column), records)), np.int32, n)
+
+        outgoing = map(operator.is_, map(field(2), records), itertools.repeat(Direction.OUTGOING))
+        return cls(
+            np.fromiter(map(field(3), records), np.int64, n),
+            codes(users, 0),
+            codes(users, 1),
+            np.fromiter(outgoing, bool, n),
+            codes(antennas, 4),
+            tuple(users),
+            tuple(antennas),
+        )
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            return CallRecord._make((
+                self.users[self.located[i]],
+                self.users[self.other[i]],
+                _DIRECTION_OF[int(self.outgoing[i])],
+                int(self.timestamp[i]),
+                self.antennas[self.antenna[i]],
+            ))
+        return CallTable(
+            self.timestamp[key],
+            self.located[key],
+            self.other[key],
+            self.outgoing[key],
+            self.antenna[key],
+            self.users,
+            self.antennas,
+        )
+
+    def __iter__(self) -> Iterator[CallRecord]:
+        users, antennas = self.users.__getitem__, self.antennas.__getitem__
+        for start in range(0, len(self), _ITER_CHUNK):
+            rows = slice(start, start + _ITER_CHUNK)
+            yield from map(CallRecord._make, zip(
+                map(users, self.located[rows].tolist()),
+                map(users, self.other[rows].tolist()),
+                map(_DIRECTION_OF.__getitem__, self.outgoing[rows].tolist()),
+                self.timestamp[rows].tolist(),
+                map(antennas, self.antenna[rows].tolist()),
+            ))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"CallTable({len(self)} records, {len(self.users)} users, "
+            f"{len(self.antennas)} antennas)"
+        )
+
+    def antenna_code(self, antenna: str) -> int | None:
+        """Code of ``antenna`` in the vocabulary, None if it is absent."""
+        codes = _vocabulary_codes(self.antennas, [antenna])
+        return int(codes[0]) if codes.size else None
+
+    def touching(self, users: Iterable[str]) -> "CallTable":
+        """Sub-table of the records with one of ``users`` on either side."""
+        codes = _vocabulary_codes(self.users, users)
+        return self[np.isin(self.located, codes) | np.isin(self.other, codes)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,13 +304,19 @@ def build_contact_graph(
     they exchanged or who called whom.  Users in ``clients`` that never appear
     on a record are not added as nodes.
     """
-    nodes: set[str] = set()
-    edges: set[tuple[str, str]] = set()
-    for r in records:
-        u, v = r.located_user, r.other_party
-        nodes.add(u)
-        nodes.add(v)
-        edges.add((u, v) if u <= v else (v, u))
+    table = CallTable.from_records(records)
+    n_users = len(table.users)
+    # codes follow string order, so (min, max) is the canonical pair; the
+    # pairs are deduplicated by sorting, as np.unique's first call costs an
+    # import of numpy.ma
+    pairs = np.minimum(table.located, table.other).astype(np.int64) * n_users
+    pairs += np.maximum(table.located, table.other)
+    pairs.sort()
+    low, high = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], n_users)
+    low, high = low.tolist(), high.tolist()
+    users = table.users
+    nodes = [users[i] for i in set(low).union(high)]
+    edges = zip(map(users.__getitem__, low), map(users.__getitem__, high))
     return ContactGraph(nodes, edges, clients)
 
 
@@ -293,12 +432,12 @@ class DatasetCalendar:
         Records in the truncated tail fall outside the calendar; callers that
         aggregate must filter them out first.
         """
-        if not records:
+        stamps = CallTable.from_records(records).timestamp
+        if not stamps.size:
             raise ValueError("cannot derive a calendar from an empty corpus")
         offset = utc_offset_minutes * 60
-        stamps = [r.timestamp for r in records]
-        first_day = (min(stamps) + offset) // SECONDS_PER_DAY
-        last_day = (max(stamps) + offset) // SECONDS_PER_DAY
+        first_day = (int(stamps.min()) + offset) // SECONDS_PER_DAY
+        last_day = (int(stamps.max()) + offset) // SECONDS_PER_DAY
         if epoch_start is not None:
             start_day = epoch_start.toordinal() - _UNIX_EPOCH_ORDINAL
         else:

@@ -12,7 +12,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .model import CallRecord, ContactGraph, DatasetCalendar, tvg_slice
+from .model import CallRecord, CallTable, ContactGraph, DatasetCalendar
 
 DEFAULT_WINDOW = (18, 22)
 
@@ -49,10 +49,16 @@ def attenders(
     Only the located leg establishes presence; the other party of a call is
     never inferred to be there.
     """
+    table = CallTable.from_records(records)
     t_lo, t_hi = calendar.window_interval(
         window.week, window.dow, window.start_hour, window.end_hour
     )
-    present = {r.located_user for r in tvg_slice(records, window.antenna, t_lo, t_hi)}
+    antenna = table.antenna_code(window.antenna)
+    if antenna is None:
+        return set()
+    ts = table.timestamp
+    inside = (table.antenna == antenna) & (ts >= t_lo) & (ts < t_hi)
+    present = {table.users[code] for code in set(table.located[inside].tolist())}
     return present & set(clients)
 
 

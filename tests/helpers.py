@@ -10,6 +10,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from cdrevents.ingest import (
+    CDR_HEADER,
+    MAX_REPORTED_ERRORS,
+    IngestError,
+    IngestReport,
+    _read_text,
+)
 from cdrevents.model import CallRecord, ContactGraph, Direction
 from cdrevents.synth import PlantedEvent, SynthConfig, flat_profile
 
@@ -218,3 +225,59 @@ def random_graph_and_attendees(rng: random.Random, max_nodes: int = 200):
         attendees.add("stranger")
     graph = ContactGraph(nodes, edge_list, clients=nodes[: n // 2])
     return graph, edge_list, attendees
+
+
+def _is_integer_token(token: str) -> bool:
+    """An optional "-" followed by ASCII digits."""
+    digits = token[1:] if token[:1] == "-" else token
+    return digits.isdigit() and digits.isascii()
+
+
+def reference_parse_cdr(stream) -> tuple[list[CallRecord], IngestReport]:
+    """Per-line CDR parser, the reference ``parse_cdr_file`` is checked
+    against: split the decoded text into lines, each line into fields, and
+    build one CallRecord per accepted line."""
+    text = _read_text(stream)
+    lines = text.splitlines()
+    if not lines:
+        raise IngestError("empty CDR stream (missing header)")
+    if lines[0] != CDR_HEADER:
+        raise IngestError(f"bad CDR header: {lines[0]!r}")
+    directions = {d.value: d for d in Direction}
+    records: list[CallRecord] = []
+    report = IngestReport()
+
+    def reject(line_no: int, reason: str) -> None:
+        report.rejected += 1
+        if len(report.first_errors) < MAX_REPORTED_ERRORS:
+            report.first_errors.append((line_no, reason))
+
+    for line_no, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 5:
+            reject(line_no, f"expected 5 fields, got {len(parts)}")
+            continue
+        located, other, direction_token, timestamp_token, antenna = parts
+        direction = directions.get(direction_token)
+        if direction is None:
+            reject(line_no, f"unknown direction {direction_token!r}")
+            continue
+        try:
+            timestamp = int(timestamp_token)
+        except ValueError:
+            timestamp = None
+        if (
+            timestamp is None
+            or not _is_integer_token(timestamp_token)
+            or not -(2**63) <= timestamp <= 2**63 - 1
+        ):
+            reject(line_no, f"bad timestamp {timestamp_token!r}")
+            continue
+        try:
+            record = CallRecord(located, other, direction, timestamp, antenna)
+        except ValueError as exc:
+            reject(line_no, str(exc))
+            continue
+        records.append(record)
+        report.accepted += 1
+    return records, report

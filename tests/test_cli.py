@@ -1,9 +1,10 @@
 import hashlib
 import json
+import re
 
 import pytest
 
-from cdrevents.cli import main
+from cdrevents.cli import build_parser, main, parse_utc_offset, parse_window
 
 SOCIAL_CONFIG = {
     "seed": 11,
@@ -414,3 +415,64 @@ def test_calendar_keeps_both_edges_and_drops_the_end_instant(tmp_path, capsys):
     assert len(rows) == 7 * 24
     defined = [row for row in rows if not row.endswith(",nan")]
     assert defined == ["0,0,0,1", "0,6,23,1"]
+
+
+def test_far_future_timestamp_is_one_error_line_not_a_traceback(tmp_path, capsys):
+    # one 16-digit timestamp stretches the derived calendar to ~10^10 weeks,
+    # whose activity grid cannot be allocated
+    cdr, roster, _ = generate_corpus(tmp_path, DETECT_CONFIG)
+    with open(cdr, "a") as stream:
+        stream.write("u001,u002,out,9000000000000000,A000\n")
+    for command in (["detect", str(cdr), str(roster)], ["report", str(cdr), "--antenna", "A000"]):
+        status = main([*command, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert status == 1
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert re.search(r"calendar of (\d{11}) weeks and 3 antennas", errors[0])
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--utc-offset", "+ 3:00"),
+        ("--utc-offset", "+\u0660\u0663:00"),  # Arabic-Indic digits
+        ("--utc-offset", "+03:\u0660\u0660"),
+        ("--utc-offset", "+99:00"),
+        ("--utc-offset", "+14:01"),
+        ("--utc-offset", "-15:00"),
+        ("--utc-offset", "+03:60"),
+        ("--utc-offset", "+3:00"),
+        ("--utc-offset", "03:00"),
+        ("--utc-offset", "+03:00 "),
+        ("--window", " 18:22"),
+        ("--window", "18:2_2"),
+        ("--window", "\u0661\u0668:22"),
+        ("--window", "18:22\n"),
+        ("--window", "+18:22"),
+        ("--window", "8:22"),
+        ("--window", "18:22:23"),
+    ],
+)
+def test_offset_and_window_flags_accept_only_their_documented_form(flag, value):
+    parser = build_parser()
+    with pytest.raises(SystemExit) as excinfo:
+        parser.parse_args(
+            ["infer", "cdr.csv", "clients.txt", "--antenna", "A001",
+             "--date", "2012-01-13", f"{flag}={value}"]
+        )
+    assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "token,minutes",
+    [("+14:00", 840), ("-12:00", -720), ("-03:00", -180), ("+05:45", 345), ("-00:00", 0)],
+)
+def test_offsets_within_real_range_parse(token, minutes):
+    assert parse_utc_offset(token) == minutes
+
+
+def test_window_parses_two_digit_hours():
+    assert parse_window("18:22") == (18, 22)
+    assert parse_window("00:24") == (0, 24)

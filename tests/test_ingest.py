@@ -1,7 +1,8 @@
 import io
+import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrevents.ingest import (
@@ -12,8 +13,8 @@ from cdrevents.ingest import (
     write_cdr_file,
     write_client_roster,
 )
-from cdrevents.model import CallRecord, Direction
-from helpers import IN, OUT, rec
+from cdrevents.model import CallRecord, CallTable, Direction
+from helpers import IN, OUT, rec, reference_parse_cdr
 
 
 def parse_text(text: str):
@@ -187,3 +188,102 @@ def test_write_accepts_text_streams_too():
     out = io.StringIO()
     write_cdr_file([rec("A", "B", OUT, 1)], out)
     assert out.getvalue() == CDR_HEADER + "\nA,B,out,1,L1\n"
+
+
+# --- the columnar parser against the per-line reference ------------------------
+
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+field_identifiers = st.one_of(
+    st.sampled_from([
+        "A", "B", "u001", "u002", "", "\x00", "A\x00", "A\x00\x00", "é", "üé",
+        "\U0001f600", "abcdefgh", "abcdefgh\x00", "abcdefgh1", "abcdefgh2",
+        "abcdefghijklmnopq", "abcdefghijklmnopr", "abcdefghé", "ab" * 20,
+    ]),
+    st.text(st.characters(blacklist_characters=",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
+                          blacklist_categories=("Cs",)), max_size=12),
+)
+timestamp_tokens = st.one_of(
+    st.sampled_from([
+        "0", "-0", "007", "-", "", "+5", "1_000", " 5", "5 ", "\u0663", "-\u0663", "\u00b2",
+        "--5", "1.5", "9223372036854775807", "9223372036854775808",
+        "-9223372036854775808", "-9223372036854775809", "99999999999999999999",
+        "000000000000000000001", "-000000000000000000001", "123456789012345678",
+        "-123456789012345678", "1234567890123456789", "100000000000000000000000",
+    ]),
+    st.integers(-(2**63), 2**63 - 1).map(str),
+    st.text("0123456789-+_ \u0663", max_size=21),
+)
+directions = st.sampled_from(["out", "in", "", "OUT", "ou", "outt", "i", "in ", "ínn"])
+
+
+@st.composite
+def cdr_lines(draw):
+    if draw(st.integers(0, 5)) == 0:  # 0-7 commas
+        return ",".join(draw(st.lists(field_identifiers, min_size=1, max_size=8)))
+    located = draw(field_identifiers)
+    other = located if draw(st.integers(0, 6)) == 0 else draw(field_identifiers)
+    return ",".join([located, other, draw(directions), draw(timestamp_tokens),
+                     draw(field_identifiers)])
+
+
+@st.composite
+def cdr_texts(draw):
+    lines = [CDR_HEADER] + draw(st.lists(cdr_lines(), max_size=45))
+    breaks = draw(st.lists(st.sampled_from(BREAKS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    return text if draw(st.booleans()) else text[: -len(breaks[-1])]
+
+
+def parse_both(text: str, as_bytes: bool):
+    def run(parse):
+        stream = io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text)
+        try:
+            return parse(stream)
+        except IngestError as exc:
+            return str(exc)
+
+    return run(parse_cdr_file), run(reference_parse_cdr)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cdr_texts(), st.booleans())
+def test_columnar_parser_matches_the_per_line_reference(text, as_bytes):
+    got, expected = parse_both(text, as_bytes)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    (table, report), (records, expected_report) = got, expected
+    assert isinstance(table, CallTable)
+    assert list(table) == records
+    assert (report.accepted, report.rejected) == (expected_report.accepted, expected_report.rejected)
+    assert report.first_errors == expected_report.first_errors
+    assert list(table.users) == sorted(table.users)
+    assert list(table.antennas) == sorted(table.antennas)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n", "\r\n", CDR_HEADER, CDR_HEADER + "\r", "x" + CDR_HEADER + "\n", "\ufeff" + CDR_HEADER],
+)
+def test_header_errors_match_the_reference(text):
+    got, expected = parse_both(text, as_bytes=True)
+    assert got == expected
+
+
+@pytest.mark.parametrize("filler", [0, 300])
+@pytest.mark.parametrize("width", [4, 8, 17, 600])
+def test_long_and_nul_identifiers_keep_their_own_codes(width, filler):
+    # identifiers that share a prefix or differ only in trailing NULs must
+    # keep their own codes, whether they are sorted by uint64 words or, when
+    # many short lines would make that key matrix outgrow the file, as bytes
+    stems = ["x" * width, "x" * (width - 1) + "y", "x" * (width - 1), "x" * (width - 1) + "\x00",
+             "x" * width + "\x00", "\x00", "w"]
+    lines = [f"{u},{v},out,{i},{v}" for i, (u, v) in enumerate(itertools.permutations(stems, 2))]
+    lines += [f"a,b,in,{i},c" for i in range(filler)]
+    text = CDR_HEADER + "\n" + "\n".join(lines) + "\n"
+    got, expected = parse_both(text, as_bytes=True)
+    table, report = got
+    assert report.rejected == 0
+    assert list(table) == expected[0]
+    assert table.users == tuple(sorted(stems + ["a", "b"] * (filler > 0)))
