@@ -8,9 +8,8 @@ lines are rejected individually and reported, never silently dropped.
 from __future__ import annotations
 
 import io
-import itertools
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -18,7 +17,13 @@ from .model import CallRecord, CallTable
 
 CDR_HEADER = "located_user,other_party,direction,timestamp,antenna"
 MAX_REPORTED_ERRORS = 20
-_WRITE_BATCH = 4096
+# rows formatted at once, and output bytes gathered at once (one longer
+# line is gathered alone)
+_WRITE_ROWS = 4096
+_WRITE_BYTES = 1 << 18
+# an int64 in decimal is at most 19 digits and a "-", and a "," follows
+_TIMESTAMP_COLUMNS = 21
+_POWERS_OF_TEN = np.array([10**k for k in range(20)], dtype=np.uint64)
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # numbers of up to 18 digits fit int64, so they are read with int64 arithmetic
@@ -154,6 +159,13 @@ def _encode(
     return codes, _gather_values(buf, starts[firsts], lens[firsts])
 
 
+def _spans(buf: np.ndarray, at: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The byte spans ``buf[at : at + lens]``, at least one, concatenated; a
+    span past the end of ``buf`` repeats its last byte."""
+    ends = np.cumsum(lens)
+    return buf.take(np.arange(ends[-1]) + np.repeat(at - (ends - lens), lens), mode="clip")
+
+
 def _gather_values(
     buf: np.ndarray, starts: np.ndarray, lens: np.ndarray
 ) -> tuple[str, ...]:
@@ -162,10 +174,8 @@ def _gather_values(
     if not len(starts):
         return ()
     spans = lens.astype(np.int64) + 1
-    ends = np.cumsum(spans)
-    source = np.arange(ends[-1]) + np.repeat(starts - (ends - spans), spans)
-    joined = buf.take(source, mode="clip")
-    joined[ends - 1] = ord("\n")
+    joined = _spans(buf, starts, spans)
+    joined[np.cumsum(spans) - 1] = ord("\n")
     return tuple(_decode(joined.tobytes()).split("\n")[:-1])
 
 
@@ -258,44 +268,103 @@ def parse_cdr_file(stream: IO) -> tuple[CallTable, IngestReport]:
     return table, report
 
 
-def _line_writer(stream: IO):
-    if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(
+def _is_binary(stream: IO) -> bool:
+    return isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(
         stream, "mode", ""
-    ):
-        return lambda line: stream.write(line.encode("utf-8"))
-    return stream.write
+    )
+
+
+def _unwritable(values: Sequence[str]) -> np.ndarray:
+    """Which identifiers hold a comma or a line break (anything
+    ``str.splitlines`` breaks on), so that their line would not parse back."""
+    text = "\n".join(values) + "\n"
+    # a "\r" before a joining "\n" would hide in "\r\n"
+    if "," not in text and "\r" not in text and len(text.splitlines()) == len(values):
+        return np.zeros(len(values), dtype=bool)
+    return np.array(["," in v or v.splitlines() not in ([v], []) for v in values], dtype=bool)
+
+
+def _packed(
+    values: Sequence[str], end: bytes, errors: str
+) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """The values in UTF-8, each followed by ``end``, joined, with the start
+    and the length of each value with its ``end``."""
+    encoded = [value.encode("utf-8", errors) + end for value in values]
+    lens = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    return b"".join(encoded), np.cumsum(lens) - lens, lens
+
+
+def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 values in decimal with a "," after each: a uint8 matrix with one
+    value right-aligned in each row, and each length with "-" and ","."""
+    negative = values < 0
+    magnitude = np.where(negative, -values.astype(np.uint64), values.astype(np.uint64))
+    width = len(str(int(magnitude.max(initial=0))))
+    n_digits = 1 + np.searchsorted(_POWERS_OF_TEN[1:width], magnitude, side="right")
+    columns = [np.full(len(values), ord(","), dtype=np.uint8)]
+    for _ in range(width):
+        quotient = magnitude // np.uint64(10)
+        digit = (magnitude - quotient * np.uint64(10)).astype(np.uint8)
+        columns.append(digit + np.uint8(ord("0")))
+        magnitude = quotient
+    text = np.stack([np.empty_like(columns[0])] + columns[::-1], axis=1)
+    text[np.flatnonzero(negative), width - n_digits[negative]] = ord("-")
+    return text, n_digits + negative + 1
 
 
 def write_cdr_file(records: Iterable[CallRecord], stream: IO) -> None:
     """Write records in the CDR format; re-parsing yields the same sequence.
 
-    Raises ValueError, naming the record, when an identifier holds a comma
+    Records are converted to a table first (a table is taken as it is), so
+    one column writer serves every input.  Raises ValueError before writing
+    anything, naming the first record that uses an identifier with a comma
     or a line break (anything ``str.splitlines`` breaks on), since its line
-    would not parse back; the records before it may already be written.
+    would not parse back.  Identifiers are checked once per vocabulary
+    entry, and an entry that no record uses is not rejected.
     """
-    write = _line_writer(stream)
-    write(CDR_HEADER + "\n")
-    records = iter(records)
-    while batch := list(itertools.islice(records, _WRITE_BATCH)):
-        lines = [
-            f"{r.located_user},{r.other_party},{r.direction.value},"
-            f"{r.timestamp},{r.antenna}\n"
-            for r in batch
-        ]
-        text = "".join(lines)
-        # identifiers only add commas and breaks; "\r\n" would hide a "\r"
-        if (
-            text.count(",") != 4 * len(lines)
-            or "\r" in text
-            or len(text.splitlines()) != len(lines)
-        ):
-            for record, line in zip(batch, lines):
-                if line.count(",") != 4 or line.splitlines() != [line[:-1]]:
-                    raise ValueError(
-                        f"cannot write {record!r}: an identifier holds a "
-                        "comma or a line break"
-                    )
-        write(text)
+    table = CallTable.from_records(records)
+    bad_user, bad_antenna = _unwritable(table.users), _unwritable(table.antennas)
+    if bad_user.any() or bad_antenna.any():
+        bad = bad_user[table.located] | bad_user[table.other] | bad_antenna[table.antenna]
+        if bad.any():
+            raise ValueError(
+                f"cannot write {table[int(bad.argmax())]!r}: an identifier holds a "
+                "comma or a line break"
+            )
+    binary = _is_binary(stream)
+    errors = "strict" if binary else _SURROGATES
+    users, user_at, user_len = _packed(table.users, b",", errors)
+    antennas, antenna_at, antenna_len = _packed(table.antennas, b"\n", errors)
+    # each field and the separator after it is a span of one buffer: the
+    # identifiers, "out," and "in,", then the timestamps of the current rows
+    fixed = users + antennas + b"out,in,"
+    source = np.empty(len(fixed) + _TIMESTAMP_COLUMNS * _WRITE_ROWS, dtype=np.uint8)
+    source[: len(fixed)] = np.frombuffer(fixed, dtype=np.uint8)
+    stream.write(CDR_HEADER.encode() + b"\n" if binary else CDR_HEADER + "\n")
+    for start in range(0, len(table), _WRITE_ROWS):
+        rows = slice(start, start + _WRITE_ROWS)
+        text, text_len = _decimal(table.timestamp[rows])
+        source[len(fixed) : len(fixed) + text.size] = text.ravel()
+        text_end = len(fixed) + text.shape[1] * np.arange(1, len(text) + 1)
+        located, other, outgoing = table.located[rows], table.other[rows], table.outgoing[rows]
+        at = np.stack([
+            user_at[located], user_at[other], np.where(outgoing, len(fixed) - 7, len(fixed) - 3),
+            text_end - text_len, len(users) + antenna_at[table.antenna[rows]],
+        ], axis=1).ravel()
+        lens = np.stack([
+            user_len[located], user_len[other], np.where(outgoing, 4, 3), text_len,
+            antenna_len[table.antenna[rows]],
+        ], axis=1)
+        # lines that end within one byte budget are gathered together
+        line_ends = np.cumsum(lens.sum(axis=1))
+        cuts = np.searchsorted(
+            line_ends, np.arange(_WRITE_BYTES, line_ends[-1], _WRITE_BYTES), side="right"
+        ).tolist()
+        lens = lens.ravel()
+        for lo, hi in zip([0] + cuts, cuts + [len(text)]):
+            if lo < hi:
+                data = _spans(source, at[5 * lo : 5 * hi], lens[5 * lo : 5 * hi]).tobytes()
+                stream.write(data if binary else _decode(data))
 
 
 def load_client_set(stream: IO) -> set[str]:
@@ -313,6 +382,5 @@ def load_client_set(stream: IO) -> set[str]:
 
 def write_client_roster(clients: Iterable[str], stream: IO) -> None:
     """Write a roster, one identifier per line, sorted for stable output."""
-    write = _line_writer(stream)
-    for user in sorted(clients):
-        write(user + "\n")
+    text = "".join(user + "\n" for user in sorted(clients))
+    stream.write(text.encode("utf-8") if _is_binary(stream) else text)

@@ -28,7 +28,6 @@ modeled, not burstiness or durations.
 from __future__ import annotations
 
 import datetime as dt
-import gc
 import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
@@ -39,9 +38,8 @@ from .model import (
     DAYS_PER_WEEK,
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
-    CallRecord,
+    CallTable,
     DatasetCalendar,
-    Direction,
 )
 
 DEFAULT_EPOCH_START = dt.date(2012, 1, 2)  # a Monday
@@ -49,8 +47,6 @@ DEFAULT_UTC_OFFSET_MINUTES = -180
 DEFAULT_GROUP_SIZES: Mapping[int, float] = {2: 0.6, 3: 0.25, 4: 0.1, 7: 0.05}
 
 HOURS_PER_DAY = 24
-_DIRECTIONS = (Direction.OUTGOING, Direction.INCOMING)
-_CHUNK = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -177,9 +173,13 @@ class SynthConfig:
 
 @dataclass
 class SynthResult:
-    """Generated corpus plus the ground truth that produced it."""
+    """Generated corpus plus the ground truth that produced it.
 
-    records: list[CallRecord]
+    ``records`` is a table sorted stably by timestamp whose vocabularies
+    hold every generated user and antenna id, used or not.
+    """
+
+    records: CallTable
     clients: set[str]
     truth: list[PlantedEvent]
     group_assignments: dict[int, list[frozenset[str]]]
@@ -187,7 +187,7 @@ class SynthResult:
 
 
 class _Columns:
-    """Column-oriented record accumulator; materialized once, time-sorted."""
+    """Column-oriented record accumulator, built once into a time-sorted table."""
 
     def __init__(self) -> None:
         self.parts: list[tuple[np.ndarray, ...]] = []
@@ -197,37 +197,29 @@ class _Columns:
             tuple(np.asarray(c, dtype=np.int64) for c in (ts, antenna, located, other, direction))
         )
 
-    def build(self, users: list[str], antenna_names: list[str]) -> list[CallRecord]:
-        if not self.parts:
-            return []
+    def build(self, users: list[str], antenna_names: list[str]) -> CallTable:
+        """The rows sorted stably by timestamp, direction 0 outgoing, coded in
+        the string order of the ids, which is not the order they are numbered
+        in once they outgrow their zero padding (``u1000000`` < ``u100001``)."""
         ts, ant, loc, oth, direction = (
-            np.concatenate([part[i] for part in self.parts]) for i in range(5)
+            np.concatenate([part[i] for part in self.parts] or [np.empty(0, np.int64)])
+            for i in range(5)
         )
         order = np.argsort(ts, kind="stable")
-        ts, ant, loc, oth, direction = (
-            c[order] for c in (ts, ant, loc, oth, direction)
+        user_rank, users = _ranks(users)
+        antenna_rank, antennas = _ranks(antenna_names)
+        return CallTable(
+            ts[order], user_rank[loc[order]], user_rank[oth[order]], direction[order] == 0,
+            antenna_rank[ant[order]], users, antennas,
         )
-        # bulk materialization: generated rows are valid by construction, so
-        # CallRecord._make skips re-validation; the GC pause avoids repeated
-        # full-heap scans while millions of tuples are allocated
-        records: list[CallRecord] = []
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for start in range(0, len(ts), _CHUNK):
-                sl = slice(start, start + _CHUNK)
-                located = [users[i] for i in loc[sl].tolist()]
-                others = [users[i] for i in oth[sl].tolist()]
-                directions = [_DIRECTIONS[i] for i in direction[sl].tolist()]
-                antennas = [antenna_names[i] for i in ant[sl].tolist()]
-                records += map(
-                    CallRecord._make,
-                    zip(located, others, directions, ts[sl].tolist(), antennas),
-                )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return records
+
+
+def _ranks(names: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The int32 rank of each name in string order, and the sorted names."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.int32)
+    rank[order] = np.arange(len(names), dtype=np.int32)
+    return rank, tuple(names[i] for i in order)
 
 
 def _popularity_weights(

@@ -7,6 +7,7 @@ paths they check.
 
 from __future__ import annotations
 
+import io
 import random
 from fractions import Fraction
 
@@ -281,3 +282,20 @@ def reference_parse_cdr(stream) -> tuple[list[CallRecord], IngestReport]:
         records.append(record)
         report.accepted += 1
     return records, report
+
+
+def reference_write_cdr(records, stream) -> None:
+    """Per-record CDR writer, the reference ``write_cdr_file`` is checked
+    against: one f-string line per record, and a ValueError naming the first
+    record with an identifier that holds a comma or a line break."""
+    lines = []
+    for r in records:
+        line = f"{r.located_user},{r.other_party},{r.direction.value},{r.timestamp},{r.antenna}\n"
+        if line.count(",") != 4 or line.splitlines() != [line[:-1]]:
+            raise ValueError(
+                f"cannot write {r!r}: an identifier holds a comma or a line break"
+            )
+        lines.append(line)
+    text = CDR_HEADER + "\n" + "".join(lines)
+    binary = isinstance(stream, (io.RawIOBase, io.BufferedIOBase))
+    stream.write(text.encode("utf-8") if binary else text)

@@ -84,6 +84,12 @@ def check_parse(calls):
     assert result[1].accepted > 0 and result[1].rejected == 0
 
 
+def test_generate_calls_the_synth_and_writer_layers(calls, corpus):
+    [result] = calls["generate"]
+    assert len(result.records) > 0
+    assert len(calls["write_cdr_file"]) == 1
+
+
 def test_detect_calls_the_ingest_calendar_and_activity_layers(calls, corpus, tmp_path):
     cdr, roster = corpus
     calls.clear()

@@ -1,8 +1,9 @@
 import io
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdrevents.ingest import (
@@ -14,7 +15,7 @@ from cdrevents.ingest import (
     write_client_roster,
 )
 from cdrevents.model import CallRecord, CallTable, Direction
-from helpers import IN, OUT, rec, reference_parse_cdr
+from helpers import IN, OUT, rec, reference_parse_cdr, reference_write_cdr
 
 
 def parse_text(text: str):
@@ -287,3 +288,76 @@ def test_long_and_nul_identifiers_keep_their_own_codes(width, filler):
     assert report.rejected == 0
     assert list(table) == expected[0]
     assert table.users == tuple(sorted(stems + ["a", "b"] * (filler > 0)))
+
+
+# --- the column writer against the per-record reference ------------------------
+
+# longer than the writer's byte budget per block of rows
+LONG = "L" * (2**18 + 3)
+writer_identifiers = st.one_of(
+    st.sampled_from(["A", "B", "u1", "u2", "\x00", "A\x00", "\x00A", "é", "\U0001f600", LONG]),
+    st.text("ABu12\x00é", min_size=1, max_size=6),
+    # a comma or a line break: such a record cannot be written
+    st.sampled_from(["u,1", "u\n", "\r", "A\u2028", "\x85", "u\x1c1"]),
+)
+writer_timestamps = st.one_of(
+    st.sampled_from([0, 1, -1, 9, -9, 10, -10, 99, 100, -100, 2**63 - 1, -(2**63), 1325473724]),
+    st.integers(-(2**63), 2**63 - 1),
+)
+
+
+@st.composite
+def writer_records(draw):
+    located = draw(writer_identifiers)
+    return CallRecord(
+        located,
+        draw(writer_identifiers.filter(lambda other: other != located)),
+        draw(st.sampled_from([OUT, IN])),
+        draw(writer_timestamps),
+        draw(writer_identifiers),
+    )
+
+
+def write_with(writer, records, as_bytes: bool):
+    stream = io.BytesIO() if as_bytes else io.StringIO()
+    try:
+        writer(records, stream)
+    except ValueError as exc:
+        return str(exc)
+    return stream.getvalue()
+
+
+def _bad_row(i):
+    return CallRecord(f"u{i}", "v", OUT, i, "A,1") if i % 2 else CallRecord("u\n", "v", IN, -i, "A")
+
+
+# identifiers, directions and timestamps of every digit count, across blocks
+_MANY = [
+    rec(f"u{i % 97}", f"v{i % 89}" + "\x00" * (i % 3), OUT if i % 3 else IN,
+        (i * 7919 - 10**6) * 10 ** (i % 9), f"A{i % 5}")
+    for i in range(20_000)
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(writer_records(), max_size=30), st.lists(st.booleans()), st.booleans())
+@example([], [], True)
+@example([_bad_row(1), rec("a", "b", OUT, 1)], [], True)
+@example([rec("a", "b", OUT, 1), _bad_row(2), rec("a", "b", OUT, 1)], [], False)
+@example([rec("a", "b", OUT, 1), _bad_row(3)], [], True)
+@example([_bad_row(1), rec("a", "b", OUT, -10), _bad_row(2)], [False, True, False], False)
+@example(_MANY, [], True)
+@example(_MANY[:5000] + [_bad_row(5)], [], False)
+def test_column_writer_matches_the_per_record_reference(records, keep, as_bytes):
+    # a record list and its table write the same bytes, or raise the same
+    # error, as the reference; a sub-table keeps identifiers no row uses,
+    # which are not rejected even when they cannot be written
+    expected = write_with(reference_write_cdr, records, as_bytes)
+    table = CallTable.from_records(records)
+    assert write_with(write_cdr_file, records, as_bytes) == expected
+    assert write_with(write_cdr_file, table, as_bytes) == expected
+    mask = np.resize(np.array(keep or [True], dtype=bool), len(table))
+    sub = table[mask]
+    assert write_with(write_cdr_file, sub, as_bytes) == write_with(
+        reference_write_cdr, list(sub), as_bytes
+    )

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from cdrevents.model import Direction
+from cdrevents.model import CallTable, Direction
 from cdrevents.social import EventWindow, attenders, induce_subgraph
 from cdrevents.model import build_contact_graph
 from cdrevents.synth import (
@@ -111,6 +112,22 @@ def test_generated_records_are_valid_and_sorted():
     timestamps = [r.timestamp for r in result.records]
     assert timestamps == sorted(timestamps)
     assert all(result.calendar.contains(t) for t in timestamps)
+
+
+def test_generated_vocabularies_follow_string_order():
+    # "A1000" sorts before "A101": codes must follow the ids' string order,
+    # not the order the generator numbers them in
+    result = generate(small_config(
+        n_antennas=1001, baseline_profile=flat_profile(0.02),
+        events=(one_event(antenna=1000, n_attendees=30),),
+    ))
+    table = result.records
+    assert list(table.antennas) == sorted(table.antennas)
+    assert list(table.users) == sorted(table.users)
+    assert list(table) == list(CallTable.from_records(list(table)))
+    assert (np.diff(table.timestamp) >= 0).all()
+    window = EventWindow("A1000", 1, 2, 18, 22)
+    assert len(attenders(table, window, result.clients, result.calendar)) >= 30
 
 
 def test_every_attendee_appears_in_window():
