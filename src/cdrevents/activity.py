@@ -149,10 +149,13 @@ def aggregate(
     names = [table.antennas[code] for code in used.tolist()]
     antennas = set(names).union(extra_antennas)
     row_of = {a: i for i, a in enumerate(sorted(antennas))}
-    rows_of_codes = np.zeros(len(table.antennas), dtype=np.int64)
-    rows_of_codes[used] = [row_of[name] for name in names]
-    shifted = table.timestamp + calendar.utc_offset_minutes * 60
-    day = shifted // SECONDS_PER_DAY - calendar._start_day
+    slots_total = calendar.n_weeks * SLOTS_PER_WEEK
+    first_cell_of_codes = np.zeros(len(table.antennas), dtype=np.int64)
+    first_cell_of_codes[used] = [row_of[name] * slots_total for name in names]
+    # one column rewritten in place: local time, hour of the day, grid cell
+    flat = table.timestamp + calendar.utc_offset_minutes * 60
+    day = flat // SECONDS_PER_DAY
+    day -= calendar._start_day
     out_of_range = (day < 0) | (day >= calendar.n_weeks * DAYS_PER_WEEK)
     if out_of_range.any():
         bad = int(table.timestamp[out_of_range][0])
@@ -160,13 +163,15 @@ def aggregate(
             f"record timestamp {bad} outside calendar starting "
             f"{calendar.epoch_start} ({calendar.n_weeks} weeks)"
         )
-    slots_total = calendar.n_weeks * SLOTS_PER_WEEK
     cells = len(row_of) * slots_total
     if cells > np.iinfo(np.intp).max // 8:  # beyond any address space
         raise MemoryError(f"an activity grid of {cells} cells cannot be allocated")
-    hour = shifted % SECONDS_PER_DAY // SECONDS_PER_HOUR
-    slot = day * HOURS_PER_DAY + hour  # hour slot within the calendar
-    flat = rows_of_codes[table.antenna] * slots_total + slot
+    flat %= SECONDS_PER_DAY
+    flat //= SECONDS_PER_HOUR
+    day *= HOURS_PER_DAY
+    flat += day  # hour slot within the calendar
+    del day
+    flat += first_cell_of_codes[table.antenna]
     binned = np.bincount(flat, minlength=cells)
     grid = binned.reshape(len(row_of), calendar.n_weeks, SLOTS_PER_WEEK)
     return ActivityCube(grid, calendar, antennas)

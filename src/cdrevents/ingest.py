@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -17,6 +17,12 @@ from .model import CallRecord, CallTable
 
 CDR_HEADER = "located_user,other_party,direction,timestamp,antenna"
 MAX_REPORTED_ERRORS = 20
+# bytes read at once; a longer line is read whole
+_BLOCK_BYTES = 1 << 20
+# a block is padded so that a uint64 word can be read from any of its bytes
+_PAD = bytes(8)
+# _LENGTH_MASKS[k] keeps the first k bytes of a big-endian word
+_LENGTH_MASKS = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], dtype=np.uint64)
 # rows formatted at once, and output bytes gathered at once (one longer
 # line is gathered alone)
 _WRITE_ROWS = 4096
@@ -72,23 +78,58 @@ def _decode(data: bytes) -> str:
     return data.decode("utf-8", _SURROGATES)
 
 
-def _read_cdr_bytes(stream: IO) -> bytes:
-    """The stream as UTF-8 bytes with every line break rewritten to "\n"."""
-    try:
-        data = stream.read()
-    except OSError as exc:
-        raise IngestError(f"unreadable stream: {exc}") from exc
-    if isinstance(data, str):
-        data = data.encode("utf-8", _SURROGATES)
-    elif not data.isascii():
+def _utf8_error(exc: UnicodeDecodeError, offset: int) -> IngestError:
+    """The error of decoding the whole stream, for ``exc`` raised by a block
+    that starts ``offset`` bytes into it."""
+    at, last = exc.start + offset, exc.end - 1 + offset
+    where = (
+        f"byte 0x{exc.object[exc.start]:02x} in position {at}" if at == last
+        else f"bytes in position {at}-{last}"
+    )
+    return IngestError(
+        f"stream is not valid UTF-8: 'utf-8' codec can't decode {where}: {exc.reason}"
+    )
+
+
+def _blocks(stream: IO) -> Iterator[bytes]:
+    """The stream as UTF-8 bytes, in blocks of whole lines with every line
+    break rewritten to "\n", each followed by ``_PAD``.  A block ends after
+    the last "\n" of a read of ``_BLOCK_BYTES``, so a longer line is read
+    whole, or at the end of the stream.  Bytes are checked to be UTF-8 block
+    by block."""
+    pending: list[bytes] = []
+    offset = 0  # the bytes of the stream before the block
+    at_end = False
+    while not at_end:
         try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IngestError(f"stream is not valid UTF-8: {exc}") from exc
-    breaks = _OTHER_BREAKS if not data.isascii() else _OTHER_BREAKS[:6]
-    if any(brk in data for brk in breaks):
-        data = ("\n".join(_decode(data).splitlines()) + "\n").encode("utf-8", _SURROGATES)
-    return data
+            piece = stream.read(_BLOCK_BYTES)
+        except OSError as exc:
+            raise IngestError(f"unreadable stream: {exc}") from exc
+        from_text = isinstance(piece, str)
+        if from_text:
+            piece = piece.encode("utf-8", _SURROGATES)
+        at_end = not piece
+        cut = piece.rfind(b"\n") + 1
+        if not (cut or at_end):
+            pending.append(piece)
+            continue
+        data = b"".join(pending + [memoryview(piece)[:cut]])
+        pending = [piece[cut:]]
+        del piece
+        if not data:
+            continue
+        is_ascii = data.isascii()
+        if not (from_text or is_ascii):
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _utf8_error(exc, offset) from None
+        offset += len(data)
+        breaks = _OTHER_BREAKS[:6] if is_ascii else _OTHER_BREAKS
+        if any(brk in data for brk in breaks):
+            data = ("\n".join(_decode(data).splitlines()) + "\n").encode("utf-8", _SURROGATES)
+        data += _PAD
+        yield data
 
 
 def _timestamps(
@@ -116,54 +157,58 @@ def _timestamps(
     return value, valid
 
 
-def _encode(
-    buf: np.ndarray, data: bytes, starts: np.ndarray, lens: np.ndarray
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Dictionary-encode byte fields: int32 codes into their sorted values.
+def _encode(data: bytes, starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dictionary-encode byte fields of ``data``, which ends in ``_PAD``:
+    int32 codes into their sorted distinct values, and one field of each.
 
     Fields are sorted by the big-endian uint64 words of their zero-padded
-    bytes, which is the order of their strings.  Padding can only tie a
-    field with itself plus trailing NULs, so when the file holds a NUL byte
-    the length breaks the tie.  A key matrix larger than the file (a few
-    very long identifiers) is avoided by sorting the fields as bytes.
+    bytes, which is the order of their strings.  Each word is one gather
+    from a view that starts a word at every byte, masked to the field's
+    length.  Padding can only tie a field with itself plus trailing NULs,
+    so when the data holds a NUL byte the length breaks the tie.  A key
+    matrix larger than the data (a few very long identifiers) is avoided by
+    sorting the fields as bytes.
     """
     n = len(starts)
     n_words = max(1, -(-int(lens.max(initial=0)) // 8))
     if n_words > 1 and n_words * 8 * n > len(data):
         fields = [data[s : s + k] for s, k in zip(starts.tolist(), lens.tolist())]
-        values = sorted(set(fields))
-        code_of = {value: i for i, value in enumerate(values)}.__getitem__
-        codes = np.fromiter(map(code_of, fields), dtype=np.int32, count=n)
-        return codes, tuple(map(_decode, values))
-    words = []
-    for word in range(n_words):
-        key = np.zeros(n, dtype=np.uint64)
-        for j in range(8 * word, 8 * word + 8):
-            key <<= np.uint64(8)
-            key |= np.where(lens > j, buf.take(starts + j, mode="clip"), 0)
-        words.append(key)
-    # np.lexsort sorts by its last key first
-    keys = ([lens] if b"\0" in data else []) + words[::-1]
+        code_of = {value: i for i, value in enumerate(sorted(set(fields)))}
+        codes = np.fromiter(map(code_of.__getitem__, fields), dtype=np.int32, count=n)
+        firsts = np.empty(len(code_of), dtype=np.int64)
+        firsts[codes] = np.arange(n)
+        return codes, firsts
+    at_byte = np.ndarray((len(data) - 7,), dtype=">u8", buffer=data, strides=(1,))
+    # np.lexsort sorts by its last key first; indexing, unlike take, does
+    # not copy the strided view
+    keys = [
+        at_byte[np.minimum(starts + 8 * word, len(at_byte) - 1)]
+        & _LENGTH_MASKS.take(lens - 8 * word, mode="clip")
+        for word in reversed(range(n_words))
+    ]
+    if data.find(b"\0", 0, len(data) - len(_PAD)) >= 0:
+        keys.insert(0, lens)
     order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
     new = np.zeros(n, dtype=bool)
     new[:1] = True
     for key in keys:
         ordered = key[order]
         new[1:] |= ordered[1:] != ordered[:-1]
-    del words, keys, key, ordered
+    del keys, key, ordered
     ranks = np.cumsum(new, dtype=np.int32)
     ranks -= 1
     codes = np.empty(n, dtype=np.int32)
     codes[order] = ranks
-    firsts = order[new]
-    return codes, _gather_values(buf, starts[firsts], lens[firsts])
+    return codes, order[new]
 
 
 def _spans(buf: np.ndarray, at: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The byte spans ``buf[at : at + lens]``, at least one, concatenated; a
     span past the end of ``buf`` repeats its last byte."""
-    ends = np.cumsum(lens)
-    return buf.take(np.arange(ends[-1]) + np.repeat(at - (ends - lens), lens), mode="clip")
+    ends = np.cumsum(lens, dtype=at.dtype)
+    index = np.arange(ends[-1], dtype=at.dtype)
+    index += np.repeat(at - (ends - lens), lens)
+    return buf.take(index, mode="clip")
 
 
 def _gather_values(
@@ -193,36 +238,72 @@ def _reason(code: int, line: str) -> str:
     return "empty identifier in call record"
 
 
-def parse_cdr_file(stream: IO) -> tuple[CallTable, IngestReport]:
-    """Parse a CDR stream into a call table plus a validation report.
+def _joined(pieces: list[np.ndarray]) -> np.ndarray:
+    """The pieces concatenated; the list is emptied, so that they are freed."""
+    joined = np.concatenate(pieces)
+    pieces.clear()
+    return joined
 
-    Accepts every line break ``str.splitlines`` knows, CRLF included.  Every
-    line after the header either yields one record or one rejection entry,
-    so accepted + rejected == data lines.  A line is rejected, for the first
-    reason that applies, unless it has five fields, the direction ``out`` or
-    ``in``, a timestamp that is an optional ``-`` followed by ASCII digits
-    with a value that fits int64, two different users and no empty
-    identifier.
-    """
-    data = _read_cdr_bytes(stream)
-    if not data:
-        raise IngestError("empty CDR stream (missing header)")
-    header_end = data.find(b"\n")
-    header = data if header_end < 0 else data[:header_end]
-    if header != CDR_HEADER.encode():
-        raise IngestError(f"bad CDR header: {_decode(header)!r}")
+
+class _Vocabulary:
+    """Blocks' sorted distinct identifiers, kept as bytes until merged, and
+    the code columns of each block's rows into them."""
+
+    def __init__(self, n_columns: int) -> None:
+        self.data: list[np.ndarray] = []
+        self.lens: list[np.ndarray] = []
+        self.columns: list[list[np.ndarray]] = [[] for _ in range(n_columns)]
+
+    def add(self, buf: np.ndarray, starts: np.ndarray, lens: np.ndarray, *codes: np.ndarray) -> None:
+        """Add a block's distinct identifiers, ``buf[starts : starts + lens]``
+        in sorted order, and its code columns."""
+        self.data.append(_spans(buf, starts, lens) if len(lens) else buf[:0])
+        self.lens.append(lens)
+        for column, block_codes in zip(self.columns, codes):
+            column.append(block_codes)
+
+    def merge(self) -> tuple[list[np.ndarray], tuple[str, ...]]:
+        """The code columns in the merged vocabulary, and that vocabulary.
+
+        The blocks' identifiers are sorted as one set of fields.  Each
+        block's codes are then looked up, in place, among the merged codes
+        of its identifiers."""
+        blocks = np.cumsum([len(block) for block in self.lens[:-1]])
+        lens = _joined(self.lens)
+        data = _joined(self.data).tobytes() + _PAD
+        starts = np.cumsum(lens) - lens
+        merged, firsts = _encode(data, starts, lens)
+        values = _gather_values(np.frombuffer(data, dtype=np.uint8), starts[firsts], lens[firsts])
+        del data, starts, firsts
+        entries = np.split(merged, blocks)
+        for column in self.columns:
+            for block_entries, codes in zip(entries, column):
+                block_entries.take(codes, out=codes)
+        return [_joined(column) for column in self.columns], values
+
+
+def _parse_lines(
+    data: bytes, line_no: int, report: IngestReport, users: _Vocabulary, antennas: _Vocabulary
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Parse a block of whole data lines followed by ``_PAD``, the first
+    line being line ``line_no`` of the stream, into ``report`` and the
+    vocabularies; returns the timestamp and outgoing columns of the accepted
+    lines, and the number of lines."""
     buf = np.frombuffer(data, dtype=np.uint8)
-    offset = np.int32 if len(data) < 2**31 else np.int64
-    ends = np.flatnonzero(buf == ord("\n"))[1:].astype(offset)
-    if header_end >= 0 and not data.endswith(b"\n"):
-        ends = np.append(ends, offset(len(data)))
+    size = len(data) - len(_PAD)
+    offset = np.int32 if size < 2**31 else np.int64
+    ends = np.flatnonzero(buf == ord("\n")).astype(offset)
+    if size and data[size - 1] != ord("\n"):
+        ends = np.append(ends, offset(size))
     starts = np.empty_like(ends)
-    starts[:1] = header_end + 1
+    starts[:1] = 0
     starts[1:] = ends[:-1] + 1
 
     commas = np.flatnonzero(buf == ord(",")).astype(offset)
+    # a line's last comma comes just before the next line's first, so one
+    # search bounds both
     first = np.searchsorted(commas, starts)
-    five = np.flatnonzero(np.searchsorted(commas, ends) - first == 4)
+    five = np.flatnonzero(np.diff(first, append=len(commas)) == 4)
     bounds = [starts[five] - 1] + [commas[first[five] + k] for k in range(4)]
     bounds.append(ends[five])
     del commas, first
@@ -240,31 +321,77 @@ def parse_cdr_file(stream: IO) -> tuple[CallTable, IngestReport]:
     outgoing = is_token(2, b"out")
     direction_ok = outgoing | is_token(2, b"in")
     timestamp, timestamp_ok = _timestamps(buf, data, at[3], lens[3])
-    rows = np.flatnonzero(direction_ok & timestamp_ok)
-    n = len(rows)
-    users, user_values = _encode(
-        buf, data, np.concatenate((at[0][rows], at[1][rows])),
-        np.concatenate((lens[0][rows], lens[1][rows])),
-    )
-    located, other = users[:n], users[n:]
-    antenna, antenna_values = _encode(buf, data, at[4][rows], lens[4][rows])
-    empty = (lens[0][rows] == 0) | (lens[1][rows] == 0) | (lens[4][rows] == 0)
-    row_reason = np.select([located == other, empty], [_SELF_CALL, _EMPTY], 0)
     reason = np.full(len(starts), _FIELDS, dtype=np.int8)
     reason[five] = np.select([~direction_ok, ~timestamp_ok], [_DIRECTION, _TIMESTAMP], 0)
-    reason[five[rows]] = row_reason
-
+    rows = np.flatnonzero(direction_ok & timestamp_ok)
+    del direction_ok, timestamp_ok
+    # the located user, the other party and the antenna of those lines
+    at = [at[field][rows] for field in (0, 1, 4)]
+    lens = [lens[field][rows] for field in (0, 1, 4)]
+    timestamp, outgoing, five = timestamp[rows], outgoing[rows], five[rows]
+    n = len(rows)
+    user_at, user_lens = np.concatenate(at[:2]), np.concatenate(lens[:2])
+    user_codes, user_firsts = _encode(data, user_at, user_lens)
+    located, other = user_codes[:n], user_codes[n:]
+    antenna, antenna_firsts = _encode(data, at[2], lens[2])
+    empty = (lens[0] == 0) | (lens[1] == 0) | (lens[2] == 0)
+    row_reason = np.select([located == other, empty], [_SELF_CALL, _EMPTY], 0)
+    reason[five] = row_reason
     keep = row_reason == 0
-    kept = rows[keep]
-    table = CallTable(
-        timestamp[kept], located[keep], other[keep], outgoing[kept], antenna[keep],
-        user_values, antenna_values,
-    )
+    users.add(buf, user_at[user_firsts], user_lens[user_firsts], located[keep], other[keep])
+    antennas.add(buf, at[2][antenna_firsts], lens[2][antenna_firsts], antenna[keep])
     rejected = np.flatnonzero(reason)
-    report = IngestReport(len(table), len(rejected))
-    for i in rejected[:MAX_REPORTED_ERRORS].tolist():
+    report.accepted += int(keep.sum())
+    report.rejected += len(rejected)
+    for i in rejected[: MAX_REPORTED_ERRORS - len(report.first_errors)].tolist():
         line = _decode(data[starts[i] : ends[i]])
-        report.first_errors.append((i + 2, _reason(int(reason[i]), line)))
+        report.first_errors.append((line_no + i, _reason(int(reason[i]), line)))
+    return timestamp[keep], outgoing[keep], len(starts)
+
+
+def parse_cdr_file(stream: IO) -> tuple[CallTable, IngestReport]:
+    """Parse a CDR stream into a call table plus a validation report.
+
+    Accepts every line break ``str.splitlines`` knows, CRLF included.  Every
+    line after the header either yields one record or one rejection entry,
+    so accepted + rejected == data lines.  A line is rejected, for the first
+    reason that applies, unless it has five fields, the direction ``out`` or
+    ``in``, a timestamp that is an optional ``-`` followed by ASCII digits
+    with a value that fits int64, two different users and no empty
+    identifier.
+
+    The stream is read in blocks of 1 MiB of whole lines.  Each block is
+    parsed into columns and its own vocabularies, which are merged at the
+    end, so memory stays about the finished table plus one block.
+    """
+    blocks = _blocks(stream)
+    data = next(blocks, _PAD)
+    if data == _PAD:
+        raise IngestError("empty CDR stream (missing header)")
+    header_end = data.find(b"\n")
+    header = data[: len(data) - len(_PAD) if header_end < 0 else header_end]
+    if header != CDR_HEADER.encode():
+        for _ in blocks:  # an invalid byte later in the stream is reported first
+            pass
+        raise IngestError(f"bad CDR header: {_decode(header)!r}")
+    report = IngestReport()
+    users, antennas = _Vocabulary(2), _Vocabulary(1)
+    timestamp, outgoing = [], []
+    line_no = 2
+    data = data[header_end + 1 :] if header_end >= 0 else _PAD
+    while data is not None:
+        block_timestamp, block_outgoing, n_lines = _parse_lines(
+            data, line_no, report, users, antennas
+        )
+        timestamp.append(block_timestamp)
+        outgoing.append(block_outgoing)
+        line_no += n_lines
+        data = next(blocks, None)
+    (located, other), user_values = users.merge()
+    (antenna,), antenna_values = antennas.merge()
+    table = CallTable(
+        _joined(timestamp), located, other, _joined(outgoing), antenna, user_values, antenna_values
+    )
     return table, report
 
 
@@ -317,12 +444,19 @@ def write_cdr_file(records: Iterable[CallRecord], stream: IO) -> None:
 
     Records are converted to a table first (a table is taken as it is), so
     one column writer serves every input.  Raises ValueError before writing
-    anything, naming the first record that uses an identifier with a comma
-    or a line break (anything ``str.splitlines`` breaks on), since its line
+    anything, naming the first record with a timestamp outside int64 or,
+    failing that, the first record that uses an identifier with a comma or
+    a line break (anything ``str.splitlines`` breaks on), since its line
     would not parse back.  Identifiers are checked once per vocabulary
     entry, and an entry that no record uses is not rejected.
     """
-    table = CallTable.from_records(records)
+    if not isinstance(records, Sequence):
+        records = list(records)
+    try:
+        table = CallTable.from_records(records)
+    except OverflowError:
+        bad = next(r for r in records if not _INT64_MIN <= r.timestamp <= _INT64_MAX)
+        raise ValueError(f"cannot write {bad!r}: its timestamp is outside int64") from None
     bad_user, bad_antenna = _unwritable(table.users), _unwritable(table.antennas)
     if bad_user.any() or bad_antenna.any():
         bad = bad_user[table.located] | bad_user[table.other] | bad_antenna[table.antenna]

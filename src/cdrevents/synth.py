@@ -34,6 +34,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from .ingest import _is_binary
 from .model import (
     DAYS_PER_WEEK,
     SECONDS_PER_DAY,
@@ -471,7 +472,7 @@ def write_truth_file(events: Sequence[PlantedEvent], stream) -> None:
             f"{ev.end_hour},{ev.intensity_multiplier:.12g},{ev.n_attendees}"
         )
     data = "\n".join(lines) + "\n"
-    stream.write(data.encode("utf-8") if "b" in getattr(stream, "mode", "b") else data)
+    stream.write(data.encode("utf-8") if _is_binary(stream) else data)
 
 
 _CONFIG_KEYS = {

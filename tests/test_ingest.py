@@ -1,11 +1,13 @@
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cdrevents import ingest
 from cdrevents.ingest import (
     CDR_HEADER,
     IngestError,
@@ -108,6 +110,17 @@ def test_writer_refuses_identifiers_that_cannot_round_trip(located, other, anten
     with pytest.raises(ValueError, match="cannot write") as info:
         write_cdr_file([good] * 5000 + [bad], io.BytesIO())
     assert repr(bad) in str(info.value)
+
+
+@pytest.mark.parametrize("ts", [10**20, -(2**63) - 1])
+def test_writer_refuses_timestamps_outside_int64(ts):
+    good = rec("A", "B", OUT, 1)
+    bad = CallRecord("A", "B", OUT, ts, "L1")
+    stream = io.BytesIO()
+    with pytest.raises(ValueError, match="cannot write") as info:
+        write_cdr_file(iter([good, bad, good]), stream)
+    assert repr(bad) in str(info.value)
+    assert stream.getvalue() == b""
 
 
 def test_accepted_plus_rejected_covers_every_data_line():
@@ -236,21 +249,29 @@ def cdr_texts(draw):
     return text if draw(st.booleans()) else text[: -len(breaks[-1])]
 
 
-def parse_both(text: str, as_bytes: bool):
+def parse_both(text: str | bytes, as_bytes: bool, block_bytes: int | None = None):
+    """The columnar and the reference parse of a text (or of raw bytes),
+    read from a byte or a text stream, with an error as its message; the
+    columnar parser reads ``block_bytes`` at a time if given."""
+
     def run(parse):
-        stream = io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text)
+        if isinstance(text, bytes):
+            stream = io.BytesIO(text)
+        else:
+            stream = io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text)
         try:
             return parse(stream)
         except IngestError as exc:
             return str(exc)
 
-    return run(parse_cdr_file), run(reference_parse_cdr)
+    with pytest.MonkeyPatch.context() as patch:
+        if block_bytes is not None:
+            patch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+        got = run(parse_cdr_file)
+    return got, run(reference_parse_cdr)
 
 
-@settings(max_examples=400, deadline=None)
-@given(cdr_texts(), st.booleans())
-def test_columnar_parser_matches_the_per_line_reference(text, as_bytes):
-    got, expected = parse_both(text, as_bytes)
+def assert_same_parse(got, expected):
     if isinstance(expected, str):
         assert got == expected
         return
@@ -261,6 +282,78 @@ def test_columnar_parser_matches_the_per_line_reference(text, as_bytes):
     assert report.first_errors == expected_report.first_errors
     assert list(table.users) == sorted(table.users)
     assert list(table.antennas) == sorted(table.antennas)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cdr_texts(), st.booleans(), st.data())
+def test_columnar_parser_matches_the_per_line_reference(text, as_bytes, data):
+    # blocks from one byte up to past the text, or the default
+    block_bytes = data.draw(
+        st.none() | st.integers(1, len(text.encode("utf-8")) + 2), label="block_bytes"
+    )
+    assert_same_parse(*parse_both(text, as_bytes, block_bytes))
+
+
+_ODD_LINES = "\n".join([f"u{i},v{i},out,{i},A{i % 3}" if i % 2 else f"bad,{i}" for i in range(42)])
+BLOCK_TEXTS = {
+    "other line breaks": CDR_HEADER + "\r\nA,B,out,1,L1\r\nB,C,in,2,L2\rC,D,out,3,L3\u2028D,E,in,4,é\n",
+    "no final line break": CDR_HEADER + "\nA,B,out,1,L1\nB,C,in,2,L2",
+    "long line": CDR_HEADER + "\n" + "x" * 90 + ",y,out,7," + "z" * 40 + "\nA,B,in,8,L1\n",
+    "21 rejected lines": CDR_HEADER + "\n" + _ODD_LINES + "\n",
+}
+BAD_UTF8 = {
+    "invalid byte": (CDR_HEADER + "\nA,B,out,1,L1" * 4 + "\n").encode() + b"A,B,out,1,L\xff\nC,D,in,2,L2\n",
+    "invalid bytes": (CDR_HEADER + "\nA,B,out,1,L1\n" * 4).encode() + b"A,\xe2\x82,out,1,L1\n",
+    "cut at the end": (CDR_HEADER + "\nA,B,out,1,L1\n" * 4).encode() + b"A,B,out,1,\xf0\x90",
+    "bad header too": ("x" + CDR_HEADER + "\nA,B,out,1,L1\n" * 4).encode() + b"\xff\n",
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_TEXTS)
+@pytest.mark.parametrize("as_bytes", [True, False])
+def test_every_block_size_parses_like_the_whole_text(name, as_bytes):
+    text = BLOCK_TEXTS[name]
+    for block_bytes in range(1, len(text.encode("utf-8")) + 2):
+        assert_same_parse(*parse_both(text, as_bytes, block_bytes))
+
+
+@pytest.mark.parametrize("name", BAD_UTF8)
+def test_invalid_utf8_is_named_at_its_position_in_the_stream(name):
+    raw = BAD_UTF8[name]
+    for block_bytes in range(1, len(raw) + 2):
+        got, expected = parse_both(raw, True, block_bytes)
+        assert got == expected
+        assert expected.startswith("stream is not valid UTF-8")
+
+
+def test_parse_memory_is_the_table_plus_a_few_blocks():
+    # a corpus of a few MB, parsed under tracemalloc: the parse holds one
+    # block at a time besides the columns it has built
+    rng = np.random.default_rng(3)
+    n, n_users = 150_000, 20_000
+    located = rng.integers(0, n_users, n).astype(np.int32)
+    other = ((located + rng.integers(1, n_users, n)) % n_users).astype(np.int32)
+    written = CallTable(
+        np.sort(rng.integers(1_325_473_200, 1_333_249_200, n)), located, other,
+        rng.random(n) < 0.5, rng.integers(0, 24, n).astype(np.int32),
+        tuple(f"u{i:06d}" for i in range(n_users)), tuple(f"A{i:03d}" for i in range(24)),
+    )
+    buffer = io.BytesIO()
+    write_cdr_file(written, buffer)
+    stream = io.BytesIO(buffer.getvalue())
+    del buffer
+    tracemalloc.start()
+    try:
+        table, report = parse_cdr_file(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.accepted == n and table == written
+    columns = sum(
+        column.nbytes
+        for column in (table.timestamp, table.located, table.other, table.outgoing, table.antenna)
+    )
+    assert peak < columns + 8 * ingest._BLOCK_BYTES, (peak, columns)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from cdrevents.synth import (
     config_from_json,
     flat_profile,
     generate,
+    write_truth_file,
 )
 from helpers import compact_social_scenario
 
@@ -294,3 +296,12 @@ def test_config_json_rejects_unknown_and_missing_keys():
         config_from_json({"n_users": 1, "client_fraction": 0, "n_antennas": 1,
                           "n_weeks": 2, "baseline_mean": 1.0,
                           "baseline_profile": [[0.0] * 24] * 7})
+
+
+def test_truth_file_is_the_same_text_on_text_and_byte_streams():
+    events = [PlantedEvent(1, 2, 3), PlantedEvent(0, 0, 6, 9, 13, 2.5, 40)]
+    text, binary = io.StringIO(), io.BytesIO()
+    write_truth_file(events, text)
+    write_truth_file(events, binary)
+    assert binary.getvalue().decode("utf-8") == text.getvalue()
+    assert text.getvalue().splitlines()[1].startswith(antenna_id(1) + ",2,3,")
