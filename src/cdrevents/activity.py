@@ -16,10 +16,8 @@ Both the cube and the index are dense grids of shape
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -244,13 +242,14 @@ def event_index(cube: ActivityCube) -> EventIndexSeries:
 def _rank(p: float, n: int) -> int:
     """Nearest rank ceil(p*n), at least 1, for a percentile p in (0, 1].
 
-    Computed in exact rational arithmetic so that the number of values
+    Computed exactly on the integer ratio of p so that the number of values
     strictly above the rank-th smallest never exceeds floor((1-p)*n),
     whatever float p is passed.
     """
     if not 0 < p <= 1:
         raise ValueError(f"percentile must be in (0, 1], got {p}")
-    return max(math.ceil(Fraction(p) * n), 1)
+    numerator, denominator = p.as_integer_ratio()
+    return max(-(-numerator * n // denominator), 1)
 
 
 def percentile_threshold(values: Iterable[float | None], p: float) -> float:

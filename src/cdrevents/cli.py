@@ -23,7 +23,8 @@ import tempfile
 from pathlib import Path
 from typing import IO, Iterator
 
-from . import activity, inference, social, synth
+# synth, activity, social and inference are imported by the commands that
+# use them, so that each command loads only its own layers
 from .ingest import (
     IngestError,
     IngestReport,
@@ -57,22 +58,27 @@ def _check_inputs(*paths: Path) -> None:
     for path in paths:
         if not path.exists():
             raise CliError(f"input path does not exist: {path}")
+        if not path.is_file():
+            raise CliError(f"input path is not a regular file: {path}")
 
 
 @contextlib.contextmanager
 def atomic_output(path: Path) -> Iterator[IO[bytes]]:
-    """Write to a temp file in the target directory, rename on success."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    stream = os.fdopen(fd, "wb")
+    """Write to a temp file in the target directory, rename on success.  An
+    OSError (say, a file where a directory should be) becomes a CliError."""
+    tmp_name = None
     try:
-        yield stream
-        stream.close()
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        with os.fdopen(fd, "wb") as stream:
+            yield stream
         os.replace(tmp_name, path)
-    except BaseException:
-        stream.close()
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_name)
+    except BaseException as exc:
+        if tmp_name is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_name)
+        if isinstance(exc, OSError):
+            raise CliError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -125,9 +131,9 @@ def parse_date(token: str) -> dt.date:
         ) from None
 
 
-def _load_corpus(cdr_path: Path, roster_path: Path | None):
+def _load_corpus(cdr_path: Path, roster_path: Path | None, users: bool = True):
     with open(cdr_path, "rb") as stream:
-        records, report = parse_cdr_file(stream)
+        records, report = parse_cdr_file(stream, users=users)
     _print_rejections(cdr_path, report)
     clients: set[str] = set()
     if roster_path is not None:
@@ -172,6 +178,8 @@ def _calendar_for(records, args):
 
 def _index_series(in_range, calendar):
     """Event index of the in-calendar records."""
+    from . import activity
+
     try:
         return activity.event_index(activity.aggregate(in_range, calendar))
     except MemoryError:
@@ -183,11 +191,16 @@ def _index_series(in_range, calendar):
 
 
 def cmd_generate(args) -> int:
+    from . import synth
+
     _check_inputs(args.config)
-    config = synth.load_config(args.config)
-    if args.seed is not None:
-        config = synth.with_seed(config, args.seed)
-    result = synth.generate(config)
+    try:
+        config = synth.load_config(args.config)
+        if args.seed is not None:
+            config = synth.with_seed(config, args.seed)
+        result = synth.generate(config)
+    except synth.ConfigError as exc:
+        raise CliError(str(exc)) from exc
 
     with atomic_output(args.out / CDR_FILENAME) as stream:
         write_cdr_file(result.records, stream)
@@ -208,10 +221,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from . import activity
+
     _check_inputs(args.cdr, args.roster)
     if not 0 < args.percentile <= 1:
         raise CliError(f"--percentile must be in (0, 1], got {args.percentile}")
-    records, _clients = _load_corpus(args.cdr, args.roster)
+    # the activity layer reads only timestamps and antennas
+    records, _clients = _load_corpus(args.cdr, args.roster, users=False)
     calendar, in_range = _calendar_for(records, args)
     series = _index_series(in_range, calendar)
     events = activity.detect_events(series, args.percentile)
@@ -246,7 +262,7 @@ def _write_index_dump(out_dir: Path, series, antenna: str) -> None:
 
 def cmd_report(args) -> int:
     _check_inputs(args.cdr)
-    records, _ = _load_corpus(args.cdr, None)
+    records, _ = _load_corpus(args.cdr, None, users=False)
     calendar, in_range = _calendar_for(records, args)
     series = _index_series(in_range, calendar)
     _write_index_dump(args.out, series, args.antenna)
@@ -256,6 +272,8 @@ def cmd_report(args) -> int:
 
 def _window_analysis(args):
     """Shared prep for subgraph/infer: attenders and the induced subgraph."""
+    from . import social
+
     records, clients = _load_corpus(args.cdr, args.roster)
     calendar, in_range = _calendar_for(records, args)
     try:
@@ -277,6 +295,8 @@ def _window_analysis(args):
 
 
 def _summary_lines(subgraph) -> list[str]:
+    from . import social
+
     histogram = social.component_size_histogram(subgraph)
     max_component = max(histogram) if histogram else 0
     return [
@@ -300,6 +320,8 @@ def cmd_subgraph(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    from . import inference
+
     _check_inputs(args.cdr, args.roster)
     graph, subgraph = _window_analysis(args)
     table = inference.attendance_probability(graph, subgraph.attenders)
@@ -438,7 +460,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_join_offset_values(list(argv)))
     try:
         return args.func(args)
-    except (CliError, IngestError, synth.ConfigError, CalendarRangeError) as exc:
+    except (CliError, IngestError, CalendarRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

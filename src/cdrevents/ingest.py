@@ -157,6 +157,36 @@ def _timestamps(
     return value, valid
 
 
+def _words(data: bytes) -> np.ndarray:
+    """A view of ``data``, which ends in ``_PAD``, with a big-endian uint64
+    word starting at every byte."""
+    return np.ndarray((len(data) - 7,), dtype=">u8", buffer=data, strides=(1,))
+
+
+def _same_fields(
+    data: bytes, a: np.ndarray, b: np.ndarray, a_lens: np.ndarray, b_lens: np.ndarray
+) -> np.ndarray:
+    """Whether each field ``data[a : a + a_lens]`` holds the same bytes as
+    ``data[b : b + b_lens]``.  Fields are compared a uint64 word at a time:
+    the first word of every pair, then every word of the pairs of one length
+    whose first words match, in one gather."""
+    at_byte = _words(data)
+    first_differs = (at_byte[a] ^ at_byte[b]) & _LENGTH_MASKS.take(a_lens, mode="clip")
+    rows = np.flatnonzero((a_lens == b_lens) & (first_differs == 0))
+    lens = a_lens[rows]
+    n_words = np.maximum(-(-lens // 8), 1)
+    firsts = np.cumsum(n_words) - n_words
+    offset = np.arange(int(n_words.sum()), dtype=lens.dtype)
+    offset -= np.repeat(firsts, n_words)
+    offset *= 8
+    differ = at_byte[np.repeat(a[rows], n_words) + offset]
+    differ ^= at_byte[np.repeat(b[rows], n_words) + offset]
+    differ &= _LENGTH_MASKS.take(np.repeat(lens, n_words) - offset, mode="clip")
+    same = np.zeros(len(a), dtype=bool)
+    same[rows] = ~np.logical_or.reduceat(differ != 0, firsts)
+    return same
+
+
 def _encode(data: bytes, starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dictionary-encode byte fields of ``data``, which ends in ``_PAD``:
     int32 codes into their sorted distinct values, and one field of each.
@@ -178,7 +208,7 @@ def _encode(data: bytes, starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarr
         firsts = np.empty(len(code_of), dtype=np.int64)
         firsts[codes] = np.arange(n)
         return codes, firsts
-    at_byte = np.ndarray((len(data) - 7,), dtype=">u8", buffer=data, strides=(1,))
+    at_byte = _words(data)
     # np.lexsort sorts by its last key first; indexing, unlike take, does
     # not copy the strided view
     keys = [
@@ -283,12 +313,17 @@ class _Vocabulary:
 
 
 def _parse_lines(
-    data: bytes, line_no: int, report: IngestReport, users: _Vocabulary, antennas: _Vocabulary
+    data: bytes,
+    line_no: int,
+    report: IngestReport,
+    users: _Vocabulary | None,
+    antennas: _Vocabulary,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Parse a block of whole data lines followed by ``_PAD``, the first
     line being line ``line_no`` of the stream, into ``report`` and the
-    vocabularies; returns the timestamp and outgoing columns of the accepted
-    lines, and the number of lines."""
+    vocabularies (users are not encoded when ``users`` is None); returns the
+    timestamp and outgoing columns of the accepted lines, and the number of
+    lines."""
     buf = np.frombuffer(data, dtype=np.uint8)
     size = len(data) - len(_PAD)
     offset = np.int32 if size < 2**31 else np.int64
@@ -329,16 +364,17 @@ def _parse_lines(
     at = [at[field][rows] for field in (0, 1, 4)]
     lens = [lens[field][rows] for field in (0, 1, 4)]
     timestamp, outgoing, five = timestamp[rows], outgoing[rows], five[rows]
-    n = len(rows)
-    user_at, user_lens = np.concatenate(at[:2]), np.concatenate(lens[:2])
-    user_codes, user_firsts = _encode(data, user_at, user_lens)
-    located, other = user_codes[:n], user_codes[n:]
-    antenna, antenna_firsts = _encode(data, at[2], lens[2])
+    self_call = _same_fields(data, at[0], at[1], lens[0], lens[1])
     empty = (lens[0] == 0) | (lens[1] == 0) | (lens[2] == 0)
-    row_reason = np.select([located == other, empty], [_SELF_CALL, _EMPTY], 0)
+    row_reason = np.select([self_call, empty], [_SELF_CALL, _EMPTY], 0)
     reason[five] = row_reason
     keep = row_reason == 0
-    users.add(buf, user_at[user_firsts], user_lens[user_firsts], located[keep], other[keep])
+    if users is not None:
+        user_at, user_lens = np.concatenate(at[:2]), np.concatenate(lens[:2])
+        user_codes, user_firsts = _encode(data, user_at, user_lens)
+        located, other = np.split(user_codes, 2)
+        users.add(buf, user_at[user_firsts], user_lens[user_firsts], located[keep], other[keep])
+    antenna, antenna_firsts = _encode(data, at[2], lens[2])
     antennas.add(buf, at[2][antenna_firsts], lens[2][antenna_firsts], antenna[keep])
     rejected = np.flatnonzero(reason)
     report.accepted += int(keep.sum())
@@ -349,7 +385,7 @@ def _parse_lines(
     return timestamp[keep], outgoing[keep], len(starts)
 
 
-def parse_cdr_file(stream: IO) -> tuple[CallTable, IngestReport]:
+def parse_cdr_file(stream: IO, *, users: bool = True) -> tuple[CallTable, IngestReport]:
     """Parse a CDR stream into a call table plus a validation report.
 
     Accepts every line break ``str.splitlines`` knows, CRLF included.  Every
@@ -363,6 +399,11 @@ def parse_cdr_file(stream: IO) -> tuple[CallTable, IngestReport]:
     The stream is read in blocks of 1 MiB of whole lines.  Each block is
     parsed into columns and its own vocabularies, which are merged at the
     end, so memory stays about the finished table plus one block.
+
+    With ``users=False`` the user fields are checked but not encoded: lines
+    are accepted and rejected as before, and the table's ``users`` is empty
+    (see ``CallTable.without_users``), so that a caller that reads only
+    timestamps and antennas builds no user dictionary.
     """
     blocks = _blocks(stream)
     data = next(blocks, _PAD)
@@ -375,23 +416,24 @@ def parse_cdr_file(stream: IO) -> tuple[CallTable, IngestReport]:
             pass
         raise IngestError(f"bad CDR header: {_decode(header)!r}")
     report = IngestReport()
-    users, antennas = _Vocabulary(2), _Vocabulary(1)
+    user_vocabulary, antennas = _Vocabulary(2) if users else None, _Vocabulary(1)
     timestamp, outgoing = [], []
     line_no = 2
     data = data[header_end + 1 :] if header_end >= 0 else _PAD
     while data is not None:
         block_timestamp, block_outgoing, n_lines = _parse_lines(
-            data, line_no, report, users, antennas
+            data, line_no, report, user_vocabulary, antennas
         )
         timestamp.append(block_timestamp)
         outgoing.append(block_outgoing)
         line_no += n_lines
         data = next(blocks, None)
-    (located, other), user_values = users.merge()
     (antenna,), antenna_values = antennas.merge()
-    table = CallTable(
-        _joined(timestamp), located, other, _joined(outgoing), antenna, user_values, antenna_values
-    )
+    timestamp, outgoing = _joined(timestamp), _joined(outgoing)
+    if user_vocabulary is None:
+        return CallTable.without_users(timestamp, outgoing, antenna, antenna_values), report
+    (located, other), user_values = user_vocabulary.merge()
+    table = CallTable(timestamp, located, other, outgoing, antenna, user_values, antenna_values)
     return table, report
 
 

@@ -95,7 +95,9 @@ class CallTable(Sequence):
 
     The table is a read-only ``Sequence[CallRecord]``: records are built on
     access, ``==`` compares it with any record sequence, and indexing with a
-    slice or a bool mask gives a sub-table.
+    slice or a bool mask gives a sub-table.  A table made ``without_users``
+    has only its timestamps, directions and antennas, and reading a record
+    of it raises IndexError.
     """
 
     timestamp: np.ndarray  # int64 epoch seconds
@@ -137,12 +139,28 @@ class CallTable(Sequence):
             tuple(antennas),
         )
 
+    @classmethod
+    def without_users(
+        cls, timestamp: np.ndarray, outgoing: np.ndarray, antenna: np.ndarray,
+        antennas: tuple[str, ...],
+    ) -> "CallTable":
+        """A table whose users were not read: ``users`` is empty and both user
+        columns are a broadcast zero, which holds no per-row memory and stays
+        one in sub-tables."""
+        no_users = np.broadcast_to(np.int32(0), timestamp.shape)
+        return cls(timestamp, no_users, no_users, outgoing, antenna, (), antennas)
+
+    def _check_records(self) -> None:
+        if len(self) and not self.users:
+            raise IndexError("a table read without users holds no records")
+
     def __len__(self) -> int:
         return len(self.timestamp)
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             i = range(len(self))[key]
+            self._check_records()
             return CallRecord._make((
                 self.users[self.located[i]],
                 self.users[self.other[i]],
@@ -150,6 +168,10 @@ class CallTable(Sequence):
                 int(self.timestamp[i]),
                 self.antennas[self.antenna[i]],
             ))
+        if not self.users:
+            return CallTable.without_users(
+                self.timestamp[key], self.outgoing[key], self.antenna[key], self.antennas
+            )
         return CallTable(
             self.timestamp[key],
             self.located[key],
@@ -161,6 +183,7 @@ class CallTable(Sequence):
         )
 
     def __iter__(self) -> Iterator[CallRecord]:
+        self._check_records()
         users, antennas = self.users.__getitem__, self.antennas.__getitem__
         for start in range(0, len(self), _ITER_CHUNK):
             rows = slice(start, start + _ITER_CHUNK)

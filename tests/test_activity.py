@@ -14,6 +14,7 @@ from cdrevents.activity import (
     aggregate,
     detect_events,
     event_index,
+    _rank,
     percentile_threshold,
 )
 from cdrevents.model import CalendarRangeError, DatasetCalendar
@@ -162,6 +163,25 @@ def test_rank_uses_exact_arithmetic():
 
 def test_fractional_rank_rounds_up():
     assert percentile_threshold(range(1, 101), 0.995) == 100
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.floats(0, 1, exclude_min=True, allow_subnormal=True),
+    st.integers(0, 10**9),
+)
+@example(0.99, 100)
+@example(0.99, 10**9)
+@example(0.995, 200)
+@example(0.995, 10**9)
+@example(1.0, 0)
+@example(1.0, 10**9)
+@example(5e-324, 1)
+@example(5e-324, 10**9)
+@example(1 - 2**-53, 10**9)
+@example(1 - 2**-53, 1)
+def test_rank_is_the_exact_ceiling(p, n):
+    assert _rank(p, n) == max(math.ceil(Fraction(p) * n), 1)
 
 
 def test_undefined_entries_excluded():

@@ -1,9 +1,16 @@
+import datetime as dt
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cdrevents
+from cdrevents import CallRecord, DatasetCalendar, Direction, write_cdr_file
 from cdrevents.cli import build_parser, main, parse_utc_offset, parse_window
 
 SOCIAL_CONFIG = {
@@ -476,3 +483,108 @@ def test_offsets_within_real_range_parse(token, minutes):
 def test_window_parses_two_digit_hours():
     assert parse_window("18:22") == (18, 22)
     assert parse_window("00:24") == (0, 24)
+
+
+# --- inputs that are not what they should be ----------------------------------
+
+
+def tiny_corpus(directory):
+    """Two weeks of one call an hour at two antennas, and a roster."""
+    directory.mkdir(parents=True, exist_ok=True)
+    start = DatasetCalendar(dt.date(2012, 1, 2), 2, -180).start_epoch_seconds
+    records = [
+        CallRecord(f"u{hour % 5}", f"v{hour % 3}", Direction.OUTGOING, start + 3600 * hour, antenna)
+        for hour in range(14 * 24) for antenna in ("A0", "A1")
+    ]
+    with open(directory / "cdr.csv", "wb") as stream:
+        write_cdr_file(records, stream)
+    (directory / "clients.txt").write_text("u0\nu1\n")
+    return directory / "cdr.csv", directory / "clients.txt"
+
+
+def run_cli(*args, cwd):
+    """``python -m cdrevents.cli`` in a new process, on this source tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cdrevents.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
+
+
+def tree(root):
+    return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["cdr is a directory", "roster is a directory", "config is a directory", "out is a file"],
+)
+def test_an_input_or_output_of_the_wrong_kind_is_one_error_line(tmp_path, case):
+    cdr, roster = tiny_corpus(tmp_path / "in")
+    folder, existing = tmp_path / "folder", tmp_path / "existing"
+    folder.mkdir()
+    existing.write_text("kept\n")
+    out = str(tmp_path / "out")
+    args = {
+        "cdr is a directory": ["detect", str(folder), str(roster), "--out", out],
+        "roster is a directory": ["detect", str(cdr), str(folder), "--out", out],
+        "config is a directory": ["generate", str(folder), "--out", out],
+        "out is a file": ["detect", str(cdr), str(roster), "--out", str(existing)],
+    }[case]
+    before = tree(tmp_path)
+    proc = run_cli("-m", "cdrevents.cli", *args, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1
+    assert tree(tmp_path) == before
+    assert existing.read_text() == "kept\n"
+
+
+# --- imports ---------------------------------------------------------------------
+
+# modules that only generate, subgraph and infer need
+NOT_FOR_DETECT = ["cdrevents.synth", "cdrevents.social", "cdrevents.inference", "fractions", "json"]
+
+
+@pytest.mark.parametrize("command", ["detect", "report"])
+def test_detect_and_report_import_only_their_own_layers(tmp_path, command):
+    cdr, roster = tiny_corpus(tmp_path)
+    args = {
+        "detect": ["detect", str(cdr), str(roster), "--dump-index", "A0"],
+        "report": ["report", str(cdr), "--antenna", "A0"],
+    }[command]
+    # -X importtime lists on stderr each module the process imports
+    proc = run_cli("-X", "importtime", "-m", "cdrevents.cli", *args, "--out", "out", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+    assert "cdrevents.activity" in imported and "cdrevents.ingest" in imported
+    assert not imported & set(NOT_FOR_DETECT)
+    assert (tmp_path / "out" / "index_A0.csv").exists()
+
+
+EXPORTS = """
+    ActivityCube AttendanceRow AttendanceTable CalendarRangeError CallRecord CallTable
+    ConfigError ContactGraph DatasetCalendar DetectedEvent Direction EventIndexSeries
+    EventWindow IngestError IngestReport InducedSubgraph LinearFit PlantedEvent
+    SilentAntennaError SynthConfig SynthResult TvgEdge aggregate antenna_id
+    attendance_probability attenders build_contact_graph component_size_histogram
+    contact_counts cumulative_attendance_probability detect_events event_index
+    flat_profile generate induce_subgraph linear_fit load_client_set parse_cdr_file
+    percentile_threshold to_tvg_edge tvg_slice user_id write_cdr_file write_client_roster
+""".split()
+
+
+def test_every_export_imports_by_name():
+    assert sorted(cdrevents.__all__) == sorted(EXPORTS)
+    for name in cdrevents.__all__:
+        namespace: dict = {}
+        exec(f"from cdrevents import {name}", namespace)
+        assert namespace[name] is getattr(cdrevents, name)
+        assert name in dir(cdrevents)
+    namespace = {}
+    exec("from cdrevents import *", namespace)
+    assert set(cdrevents.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        cdrevents.no_such_name

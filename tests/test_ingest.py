@@ -249,26 +249,32 @@ def cdr_texts(draw):
     return text if draw(st.booleans()) else text[: -len(breaks[-1])]
 
 
-def parse_both(text: str | bytes, as_bytes: bool, block_bytes: int | None = None):
-    """The columnar and the reference parse of a text (or of raw bytes),
-    read from a byte or a text stream, with an error as its message; the
-    columnar parser reads ``block_bytes`` at a time if given."""
+def read_with(parse, text: str | bytes, as_bytes: bool):
+    """A parse of a text (or of raw bytes), read from a byte or a text
+    stream, with an error as its message."""
+    if isinstance(text, bytes):
+        stream = io.BytesIO(text)
+    else:
+        stream = io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text)
+    try:
+        return parse(stream)
+    except IngestError as exc:
+        return str(exc)
 
-    def run(parse):
-        if isinstance(text, bytes):
-            stream = io.BytesIO(text)
-        else:
-            stream = io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text)
-        try:
-            return parse(stream)
-        except IngestError as exc:
-            return str(exc)
 
+def parse_columnar(
+    text: str | bytes, as_bytes: bool, block_bytes: int | None = None, users: bool = True
+):
+    """The columnar parse, reading ``block_bytes`` at a time if given."""
     with pytest.MonkeyPatch.context() as patch:
         if block_bytes is not None:
             patch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
-        got = run(parse_cdr_file)
-    return got, run(reference_parse_cdr)
+        return read_with(lambda stream: parse_cdr_file(stream, users=users), text, as_bytes)
+
+
+def parse_both(text: str | bytes, as_bytes: bool, block_bytes: int | None = None):
+    """The columnar and the reference parse of a text."""
+    return parse_columnar(text, as_bytes, block_bytes), read_with(reference_parse_cdr, text, as_bytes)
 
 
 def assert_same_parse(got, expected):
@@ -284,6 +290,39 @@ def assert_same_parse(got, expected):
     assert list(table.antennas) == sorted(table.antennas)
 
 
+def assert_same_without_users(lean, got):
+    """A parse with ``users=False`` (``lean``) keeps everything of the full
+    parse ``got`` but the users: the same error, or the same report and
+    timestamp, direction and antenna columns, and no record can be read."""
+    if isinstance(got, str):
+        assert lean == got
+        return
+    (table, report), (lean_table, lean_report) = got, lean
+    assert isinstance(lean_table, CallTable)
+    assert lean_report == report
+    for column in ("timestamp", "outgoing", "antenna"):
+        assert np.array_equal(getattr(lean_table, column), getattr(table, column)), column
+    assert lean_table.antennas == table.antennas
+    assert lean_table.users == () and len(lean_table) == len(table)
+    # the user columns hold no memory per row, in the table and its sub-tables
+    for sub in (lean_table, lean_table[::2], lean_table[lean_table.outgoing]):
+        assert sub.located.strides == sub.other.strides == (0,)
+        assert len(sub.located) == len(sub.other) == len(sub)
+    if len(table):
+        with pytest.raises(IndexError, match="without users"):
+            lean_table[0]
+        with pytest.raises(IndexError, match="without users"):
+            list(lean_table)
+    else:
+        assert list(lean_table) == []
+
+
+def assert_same_parses(text: str | bytes, as_bytes: bool, block_bytes: int | None = None):
+    got, expected = parse_both(text, as_bytes, block_bytes)
+    assert_same_parse(got, expected)
+    assert_same_without_users(parse_columnar(text, as_bytes, block_bytes, users=False), got)
+
+
 @settings(max_examples=400, deadline=None)
 @given(cdr_texts(), st.booleans(), st.data())
 def test_columnar_parser_matches_the_per_line_reference(text, as_bytes, data):
@@ -291,7 +330,7 @@ def test_columnar_parser_matches_the_per_line_reference(text, as_bytes, data):
     block_bytes = data.draw(
         st.none() | st.integers(1, len(text.encode("utf-8")) + 2), label="block_bytes"
     )
-    assert_same_parse(*parse_both(text, as_bytes, block_bytes))
+    assert_same_parses(text, as_bytes, block_bytes)
 
 
 _ODD_LINES = "\n".join([f"u{i},v{i},out,{i},A{i % 3}" if i % 2 else f"bad,{i}" for i in range(42)])
@@ -314,7 +353,7 @@ BAD_UTF8 = {
 def test_every_block_size_parses_like_the_whole_text(name, as_bytes):
     text = BLOCK_TEXTS[name]
     for block_bytes in range(1, len(text.encode("utf-8")) + 2):
-        assert_same_parse(*parse_both(text, as_bytes, block_bytes))
+        assert_same_parses(text, as_bytes, block_bytes)
 
 
 @pytest.mark.parametrize("name", BAD_UTF8)
@@ -326,9 +365,9 @@ def test_invalid_utf8_is_named_at_its_position_in_the_stream(name):
         assert expected.startswith("stream is not valid UTF-8")
 
 
-def test_parse_memory_is_the_table_plus_a_few_blocks():
-    # a corpus of a few MB, parsed under tracemalloc: the parse holds one
-    # block at a time besides the columns it has built
+def memory_corpus():
+    """A corpus of a few MB (150k rows, 20k users, 24 antennas), as the
+    table written and as the bytes of its file."""
     rng = np.random.default_rng(3)
     n, n_users = 150_000, 20_000
     located = rng.integers(0, n_users, n).astype(np.int32)
@@ -340,20 +379,73 @@ def test_parse_memory_is_the_table_plus_a_few_blocks():
     )
     buffer = io.BytesIO()
     write_cdr_file(written, buffer)
-    stream = io.BytesIO(buffer.getvalue())
-    del buffer
+    return written, buffer.getvalue()
+
+
+def traced_parse(data: bytes, **options):
+    """The parse of ``data``, and the peak of traced memory during it."""
+    stream = io.BytesIO(data)
     tracemalloc.start()
     try:
-        table, report = parse_cdr_file(stream)
+        table, report = parse_cdr_file(stream, **options)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return table, report, peak
+
+
+def test_parse_memory_is_the_table_plus_a_few_blocks():
+    # a corpus of a few MB, parsed under tracemalloc: the parse holds one
+    # block at a time besides the columns it has built
+    written, data = memory_corpus()
+    n = len(written)
+    table, report, peak = traced_parse(data)
     assert report.accepted == n and table == written
     columns = sum(
         column.nbytes
         for column in (table.timestamp, table.located, table.other, table.outgoing, table.antenna)
     )
     assert peak < columns + 8 * ingest._BLOCK_BYTES, (peak, columns)
+
+
+def test_parse_without_users_holds_no_user_dictionary():
+    # the same corpus read without users: no user codes and no vocabulary
+    # merge, so the peak stays within 5 blocks of the three columns it
+    # builds (measured: 3.35 MiB above them, against 7.17 MiB for the
+    # parse with users)
+    written, data = memory_corpus()
+    table, report, peak = traced_parse(data, users=False)
+    assert report.accepted == len(written) and table.users == ()
+    assert np.array_equal(table.timestamp, written.timestamp)
+    assert np.array_equal(table.antenna, written.antenna)
+    columns = sum(column.nbytes for column in (table.timestamp, table.outgoing, table.antenna))
+    assert peak < columns + 5 * ingest._BLOCK_BYTES, (peak, columns)
+
+
+# self-call pairs across the word boundaries of the comparison, and one pair
+# long enough that the fields are compared as bytes
+@pytest.mark.parametrize("widths", [(7,), (8,), (9,), (17,), (262_147,), (7, 8, 9, 17, 262_147)])
+def test_self_calls_are_found_by_their_bytes(widths):
+    pairs = []
+    for width in widths:
+        word = "x" * (width - 1)
+        pairs += [
+            (word + "a", word + "a", True),
+            (word + "a", word + "b", False),  # differ in the last byte only
+            (word + "\x00", word + "\x00", True),
+            (word + "a", word + "a\x00", False),  # differ by trailing NULs only
+            (word + "\x00", word + "\x00\x00", False),
+            ("\x00" * width, "\x00" * (width + 1), False),
+        ]
+    lines = [f"{u},{v},out,{i},A" for i, (u, v, _) in enumerate(pairs)]
+    text = CDR_HEADER + "\n" + "\n".join(lines) + "\n"
+    got, expected = parse_both(text, as_bytes=True)
+    assert_same_parse(got, expected)
+    assert_same_without_users(parse_columnar(text, True, users=False), got)
+    _, report = got
+    self_calls = [i + 2 for i, (_, _, same) in enumerate(pairs) if same]
+    assert [line for line, _ in report.first_errors] == self_calls
+    assert all(reason.startswith("self-call") for _, reason in report.first_errors)
 
 
 @pytest.mark.parametrize(
