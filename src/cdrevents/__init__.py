@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "model": (
         "CalendarRangeError", "CallRecord", "CallTable", "ContactGraph", "DatasetCalendar",
-        "Direction", "TvgEdge", "build_contact_graph", "to_tvg_edge", "tvg_slice",
+        "Direction", "build_contact_graph",
     ),
     "social": (
         "EventWindow", "InducedSubgraph", "attenders", "component_size_histogram",

@@ -20,6 +20,7 @@ import os
 import re
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -131,15 +132,11 @@ def parse_date(token: str) -> dt.date:
         ) from None
 
 
-def _load_corpus(cdr_path: Path, roster_path: Path | None, users: bool = True):
+def _load_corpus(cdr_path: Path, users: bool = True):
     with open(cdr_path, "rb") as stream:
         records, report = parse_cdr_file(stream, users=users)
     _print_rejections(cdr_path, report)
-    clients: set[str] = set()
-    if roster_path is not None:
-        with open(roster_path, "rb") as stream:
-            clients = load_client_set(stream)
-    return records, clients
+    return records
 
 
 def _print_rejections(path: Path, report: IngestReport) -> None:
@@ -197,7 +194,7 @@ def cmd_generate(args) -> int:
     try:
         config = synth.load_config(args.config)
         if args.seed is not None:
-            config = synth.with_seed(config, args.seed)
+            config = replace(config, seed=args.seed)
         result = synth.generate(config)
     except synth.ConfigError as exc:
         raise CliError(str(exc)) from exc
@@ -226,8 +223,8 @@ def cmd_detect(args) -> int:
     _check_inputs(args.cdr, args.roster)
     if not 0 < args.percentile <= 1:
         raise CliError(f"--percentile must be in (0, 1], got {args.percentile}")
-    # the activity layer reads only timestamps and antennas
-    records, _clients = _load_corpus(args.cdr, args.roster, users=False)
+    # the activity layer reads only timestamps and antennas, and no roster
+    records = _load_corpus(args.cdr, users=False)
     calendar, in_range = _calendar_for(records, args)
     series = _index_series(in_range, calendar)
     events = activity.detect_events(series, args.percentile)
@@ -262,7 +259,7 @@ def _write_index_dump(out_dir: Path, series, antenna: str) -> None:
 
 def cmd_report(args) -> int:
     _check_inputs(args.cdr)
-    records, _ = _load_corpus(args.cdr, None, users=False)
+    records = _load_corpus(args.cdr, users=False)
     calendar, in_range = _calendar_for(records, args)
     series = _index_series(in_range, calendar)
     _write_index_dump(args.out, series, args.antenna)
@@ -274,7 +271,9 @@ def _window_analysis(args):
     """Shared prep for subgraph/infer: attenders and the induced subgraph."""
     from . import social
 
-    records, clients = _load_corpus(args.cdr, args.roster)
+    records = _load_corpus(args.cdr)
+    with open(args.roster, "rb") as stream:
+        clients = load_client_set(stream)
     calendar, in_range = _calendar_for(records, args)
     try:
         week, dow = calendar.slot_of_date(args.date)

@@ -196,12 +196,12 @@ def _encode(data: bytes, starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarr
     from a view that starts a word at every byte, masked to the field's
     length.  Padding can only tie a field with itself plus trailing NULs,
     so when the data holds a NUL byte the length breaks the tie.  A key
-    matrix larger than the data (a few very long identifiers) is avoided by
-    sorting the fields as bytes.
+    matrix larger than the data, or with more words per field than fields
+    (a few very long identifiers), is avoided by sorting the fields as bytes.
     """
     n = len(starts)
     n_words = max(1, -(-int(lens.max(initial=0)) // 8))
-    if n_words > 1 and n_words * 8 * n > len(data):
+    if n_words > 1 and (n_words * 8 * n > len(data) or n_words > n):
         fields = [data[s : s + k] for s, k in zip(starts.tolist(), lens.tolist())]
         code_of = {value: i for i, value in enumerate(sorted(set(fields)))}
         codes = np.fromiter(map(code_of.__getitem__, fields), dtype=np.int32, count=n)

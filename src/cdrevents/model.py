@@ -1,6 +1,6 @@
 """Core domain types: call records and the columnar table that holds a
-corpus of them, time-stamped call edges, the contact graph, and the dataset
-calendar that maps timestamps to (week, day, hour) slots."""
+corpus of them, the contact graph, and the dataset calendar that maps
+timestamps to (week, day, hour) slots."""
 
 from __future__ import annotations
 
@@ -219,39 +219,14 @@ class CallTable(Sequence):
         return self[np.isin(self.located, codes) | np.isin(self.other, codes)]
 
 
-@dataclass(frozen=True, slots=True)
-class TvgEdge:
-    """Directed caller-to-callee relation at one instant, tagged with the
-    serving antenna.  Both endpoints share the call's timestamp."""
-
-    caller: str
-    t_caller: int
-    callee: str
-    t_callee: int
-    antenna: str
-
-    def __post_init__(self) -> None:
-        if self.t_caller != self.t_callee:
-            raise ValueError("edge endpoints must share the call timestamp")
-
-
-def to_tvg_edge(record: CallRecord) -> TvgEdge:
-    """Rewrite a located call leg as a caller-to-callee edge."""
-    if record.direction is Direction.OUTGOING:
-        caller, callee = record.located_user, record.other_party
-    else:
-        caller, callee = record.other_party, record.located_user
-    return TvgEdge(caller, record.timestamp, callee, record.timestamp, record.antenna)
-
-
 class ContactGraph:
     """Simple undirected graph linking every pair of users that ever
-    communicated, with a per-user client flag.
+    communicated.  ``clients`` is accepted but not stored.
 
     Immutable after construction; safe to share across workers.
     """
 
-    __slots__ = ("_nodes", "_adj", "_edges", "_clients")
+    __slots__ = ("_nodes", "_adj", "_edges")
 
     def __init__(
         self,
@@ -274,7 +249,6 @@ class ContactGraph:
         self._nodes = node_set
         self._edges = frozenset(edge_set)
         self._adj = {u: frozenset(vs) for u, vs in adj.items()}
-        self._clients = frozenset(clients) & node_set
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -284,14 +258,6 @@ class ContactGraph:
     def edges(self) -> frozenset[tuple[str, str]]:
         """Edges as canonical (lexicographically sorted) pairs."""
         return self._edges
-
-    @property
-    def clients(self) -> frozenset[str]:
-        return self._clients
-
-    @property
-    def client_flags(self) -> dict[str, bool]:
-        return {u: u in self._clients for u in self._nodes}
 
     @property
     def n_nodes(self) -> int:
@@ -304,12 +270,6 @@ class ContactGraph:
     def neighbors(self, user: str) -> frozenset[str]:
         """Contacts of ``user``; empty for unknown users."""
         return self._adj.get(user, frozenset())
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return v in self._adj.get(u, frozenset())
-
-    def is_client(self, user: str) -> bool:
-        return user in self._clients
 
     def __contains__(self, user: str) -> bool:
         return user in self._nodes
@@ -324,8 +284,8 @@ def build_contact_graph(
     """Build the contact graph of every user pair that co-occurs on a record.
 
     One undirected edge per communicating pair, regardless of how many calls
-    they exchanged or who called whom.  Users in ``clients`` that never appear
-    on a record are not added as nodes.
+    they exchanged or who called whom.  ``clients`` is accepted but not
+    used: every user on a record is a node, client or not.
     """
     table = CallTable.from_records(records)
     n_users = len(table.users)
@@ -340,16 +300,7 @@ def build_contact_graph(
     users = table.users
     nodes = [users[i] for i in set(low).union(high)]
     edges = zip(map(users.__getitem__, low), map(users.__getitem__, high))
-    return ContactGraph(nodes, edges, clients)
-
-
-def tvg_slice(
-    records: Iterable[CallRecord], antenna: str, t_lo: int, t_hi: int
-) -> list[CallRecord]:
-    """Records at ``antenna`` with t_lo <= timestamp < t_hi, in input order."""
-    if t_lo >= t_hi:
-        raise ValueError(f"empty interval [{t_lo}, {t_hi})")
-    return [r for r in records if r.antenna == antenna and t_lo <= r.timestamp < t_hi]
+    return ContactGraph(nodes, edges)
 
 
 class CalendarRangeError(ValueError):

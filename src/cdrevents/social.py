@@ -82,10 +82,6 @@ class InducedSubgraph:
     def singlets(self) -> frozenset[str]:
         return frozenset(u for u, d in self.degree.items() if d == 0)
 
-    @property
-    def n_attenders(self) -> int:
-        return len(self.attenders)
-
 
 def induce_subgraph(graph: ContactGraph, users: Iterable[str]) -> InducedSubgraph:
     """Restrict the contact graph to ``users``.

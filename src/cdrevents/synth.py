@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +48,8 @@ DEFAULT_UTC_OFFSET_MINUTES = -180
 DEFAULT_GROUP_SIZES: Mapping[int, float] = {2: 0.6, 3: 0.25, 4: 0.1, 7: 0.05}
 
 HOURS_PER_DAY = 24
+# numpy's Generator.poisson refuses a larger mean ("lam value too large")
+_MAX_POISSON_MEAN = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
 class ConfigError(ValueError):
@@ -119,6 +121,11 @@ class SynthConfig:
     utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES
 
     def __post_init__(self) -> None:
+        for name in ("seed", "n_users", "n_antennas", "n_weeks"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.n_users < 0 or self.n_antennas < 0:
             raise ConfigError("n_users and n_antennas must be nonnegative")
         if self.n_weeks < 2:
@@ -130,8 +137,8 @@ class SynthConfig:
             raise ConfigError(
                 f"baseline_profile must be 7x{HOURS_PER_DAY}, got {profile.shape}"
             )
-        if not np.isfinite(profile).all() or (profile < 0).any():
-            raise ConfigError("baseline_profile means must be finite and nonnegative")
+        if not ((profile >= 0) & (profile <= _MAX_POISSON_MEAN)).all():
+            raise ConfigError(f"baseline_profile means must be in [0, {_MAX_POISSON_MEAN:.6g}]")
         object.__setattr__(
             self, "baseline_profile", tuple(tuple(row) for row in profile.tolist())
         )
@@ -475,30 +482,28 @@ def write_truth_file(events: Sequence[PlantedEvent], stream) -> None:
     stream.write(data.encode("utf-8") if _is_binary(stream) else data)
 
 
-_CONFIG_KEYS = {
-    "seed",
-    "n_users",
-    "client_fraction",
-    "n_antennas",
-    "n_weeks",
-    "baseline_mean",
-    "baseline_profile",
-    "events",
-    "group_size_distribution",
-    "popularity_exponent",
-    "social_circle_size",
-    "epoch_start",
-    "utc_offset_minutes",
-}
-_EVENT_KEYS = {
-    "antenna",
-    "week",
-    "dow",
-    "start_hour",
-    "end_hour",
-    "intensity_multiplier",
-    "n_attendees",
-    "social_fraction",
+def _known_keys(obj: Mapping[str, Any], cls: type, where: str, *extra: str) -> Mapping[str, Any]:
+    """``obj``, once each of its keys is checked to name a field of ``cls``
+    or one of ``extra``."""
+    unknown = set(obj) - {f.name for f in fields(cls)} - set(extra)
+    if unknown:
+        raise ConfigError(f"unknown {where}: {sorted(unknown)}")
+    return obj
+
+
+# how each optional JSON value becomes a SynthConfig argument, in the order
+# they are checked; the other keys are passed as they are
+_FROM_JSON: dict[str, Callable[[Any], Any]] = {
+    "baseline_mean": flat_profile,
+    "events": lambda objs: tuple(
+        PlantedEvent(**_known_keys(obj, PlantedEvent, f"keys in events[{i}]"))
+        for i, obj in enumerate(objs)
+    ),
+    "group_size_distribution": lambda sizes: {int(k): float(p) for k, p in sizes.items()},
+    "popularity_exponent": float,
+    "social_circle_size": float,
+    "epoch_start": dt.date.fromisoformat,
+    "utc_offset_minutes": int,
 }
 
 
@@ -506,52 +511,25 @@ def config_from_json(obj: Mapping[str, Any]) -> SynthConfig:
     """Build a SynthConfig from a parsed JSON object (strict keys).
 
     ``baseline_mean`` is a shorthand for a flat profile; otherwise
-    ``baseline_profile`` must be a 7x24 nested list.
+    ``baseline_profile`` must be a 7x24 nested list.  ``seed`` defaults to 0.
     """
-    unknown = set(obj) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _known_keys(obj, SynthConfig, "config keys", "baseline_mean")
     missing = {"n_users", "client_fraction", "n_antennas", "n_weeks"} - set(obj)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     if ("baseline_mean" in obj) == ("baseline_profile" in obj):
         raise ConfigError("config needs exactly one of baseline_mean/baseline_profile")
-    profile = (
-        flat_profile(obj["baseline_mean"])
-        if "baseline_mean" in obj
-        else obj["baseline_profile"]
-    )
-    events = []
-    for i, ev_obj in enumerate(obj.get("events", [])):
-        unknown = set(ev_obj) - _EVENT_KEYS
-        if unknown:
-            raise ConfigError(f"unknown keys in events[{i}]: {sorted(unknown)}")
-        events.append(PlantedEvent(**ev_obj))
-    kwargs: dict[str, Any] = {
-        "seed": obj.get("seed", 0),
-        "n_users": obj["n_users"],
-        "client_fraction": obj["client_fraction"],
-        "n_antennas": obj["n_antennas"],
-        "n_weeks": obj["n_weeks"],
-        "baseline_profile": profile,
-        "events": tuple(events),
-    }
-    if "group_size_distribution" in obj:
-        try:
-            kwargs["group_size_distribution"] = {
-                int(size): float(prob)
-                for size, prob in obj["group_size_distribution"].items()
-            }
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad group_size_distribution: {exc}") from exc
-    if "popularity_exponent" in obj:
-        kwargs["popularity_exponent"] = float(obj["popularity_exponent"])
-    if "social_circle_size" in obj:
-        kwargs["social_circle_size"] = float(obj["social_circle_size"])
-    if "epoch_start" in obj:
-        kwargs["epoch_start"] = dt.date.fromisoformat(obj["epoch_start"])
-    if "utc_offset_minutes" in obj:
-        kwargs["utc_offset_minutes"] = int(obj["utc_offset_minutes"])
+    kwargs = {"seed": 0, **obj}
+    for key, convert in _FROM_JSON.items():
+        if key in kwargs:
+            try:
+                kwargs[key] = convert(kwargs[key])
+            except ConfigError:
+                raise
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad {key}: {exc}") from exc
+    if "baseline_mean" in kwargs:
+        kwargs["baseline_profile"] = kwargs.pop("baseline_mean")
     try:
         return SynthConfig(**kwargs)
     except (KeyError, TypeError) as exc:
@@ -569,7 +547,3 @@ def load_config(path) -> SynthConfig:
         raise ConfigError("config must be a JSON object")
     return config_from_json(obj)
 
-
-def with_seed(config: SynthConfig, seed: int) -> SynthConfig:
-    """The same config with a different seed."""
-    return replace(config, seed=seed)

@@ -115,6 +115,47 @@ def test_generate_missing_config_path(tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+TINY_CONFIG = {
+    "seed": 1,
+    "n_users": 100,
+    "client_fraction": 0.5,
+    "n_antennas": 2,
+    "n_weeks": 2,
+    "baseline_mean": 1.0,
+    "events": [{"antenna": 1, "week": 1, "dow": 2, "n_attendees": 10}],
+}
+TINY_EVENT = TINY_CONFIG["events"][0]
+
+
+# config changes and flags that each made the generator end in a traceback
+BAD_GENERATOR_INPUTS = {
+    "popularity_exponent not a number": ({"popularity_exponent": "abc"}, []),
+    "epoch_start not a date": ({"epoch_start": "2012-13-01"}, []),
+    "event not an object": ({"events": [1]}, []),
+    "event dow not a number": ({"events": [dict(TINY_EVENT, dow="x")]}, []),
+    "n_users not an integer": ({"n_users": 100.5}, []),
+    "baseline_mean not a number": ({"baseline_mean": "x"}, []),
+    "baseline_mean beyond numpy's Poisson mean": ({"baseline_mean": 1e308}, []),
+    "utc_offset_minutes not a number": ({"utc_offset_minutes": "x"}, []),
+    "seed negative": ({"seed": -5}, []),
+    "seed not a number": ({"seed": "x"}, []),
+    "group_size_distribution not an object": ({"group_size_distribution": [1]}, []),
+    "--seed negative": ({}, ["--seed", "-1"]),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_GENERATOR_INPUTS))
+def test_a_bad_generator_input_is_one_error_line(tmp_path, case):
+    changes, flags = BAD_GENERATOR_INPUTS[case]
+    config = write_config(tmp_path, dict(TINY_CONFIG, **changes))
+    proc = run_cli("-m", "cdrevents.cli", "generate", str(config), "--out", "out", *flags,
+                   cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1
+    assert not (tmp_path / "out" / "cdr.csv").exists()
+
+
 # --- detect --------------------------------------------------------------------
 
 
@@ -193,6 +234,15 @@ def test_detect_reports_rejected_lines(tmp_path, capsys):
     status = main(["detect", str(cdr), str(roster), "--out", str(tmp_path / "d")])
     assert status == 0
     assert "rejected 1" in capsys.readouterr().err
+
+
+def test_detect_never_reads_its_roster(tmp_path):
+    cdr, roster, _ = generate_corpus(tmp_path, DETECT_CONFIG)
+    garbled = tmp_path / "garbled.txt"
+    garbled.write_bytes(b"u000001\n\xff\xfe\n")  # not UTF-8
+    assert main(["detect", str(cdr), str(roster), "--out", str(tmp_path / "a")]) == 0
+    assert main(["detect", str(cdr), str(garbled), "--out", str(tmp_path / "b")]) == 0
+    assert checksums(tmp_path / "a" / "events.csv") == checksums(tmp_path / "b" / "events.csv")
 
 
 def test_detect_rejects_timestamp_beyond_int64(tmp_path, capsys):
@@ -568,11 +618,11 @@ EXPORTS = """
     ActivityCube AttendanceRow AttendanceTable CalendarRangeError CallRecord CallTable
     ConfigError ContactGraph DatasetCalendar DetectedEvent Direction EventIndexSeries
     EventWindow IngestError IngestReport InducedSubgraph LinearFit PlantedEvent
-    SilentAntennaError SynthConfig SynthResult TvgEdge aggregate antenna_id
+    SilentAntennaError SynthConfig SynthResult aggregate antenna_id
     attendance_probability attenders build_contact_graph component_size_histogram
     contact_counts cumulative_attendance_probability detect_events event_index
     flat_profile generate induce_subgraph linear_fit load_client_set parse_cdr_file
-    percentile_threshold to_tvg_edge tvg_slice user_id write_cdr_file write_client_roster
+    percentile_threshold user_id write_cdr_file write_client_roster
 """.split()
 
 

@@ -96,9 +96,11 @@ def test_detect_calls_the_ingest_calendar_and_activity_layers(calls, corpus, tmp
     assert cli.main(["detect", str(cdr), str(roster), "--out", str(tmp_path / "d")]) == 0
     check_parse(calls)
     counts = Counter({name: len(results) for name, results in calls.items()})
-    for name in ("from_records", "aggregate", "event_index", "detect_events", "load_client_set"):
+    for name in ("from_records", "aggregate", "event_index", "detect_events"):
         assert counts[name] == 1, name
     assert counts["write_lines"] >= 1
+    # detect checks that its roster is a file but never reads it
+    assert counts["load_client_set"] == 0
 
 
 def test_infer_calls_the_ingest_graph_social_and_inference_layers(calls, corpus, tmp_path):
@@ -112,7 +114,7 @@ def test_infer_calls_the_ingest_graph_social_and_inference_layers(calls, corpus,
     assert status == 0
     check_parse(calls)
     counts = Counter({name: len(results) for name, results in calls.items()})
-    for name in ("attenders", "build_contact_graph", "induce_subgraph",
+    for name in ("load_client_set", "attenders", "build_contact_graph", "induce_subgraph",
                  "attendance_probability", "linear_fit", "component_size_histogram"):
         assert counts[name] == 1, name
     assert calls["attenders"][0] and calls["build_contact_graph"][0].n_edges > 0

@@ -422,10 +422,9 @@ def test_parse_without_users_holds_no_user_dictionary():
     assert peak < columns + 5 * ingest._BLOCK_BYTES, (peak, columns)
 
 
-# self-call pairs across the word boundaries of the comparison, and one pair
-# long enough that the fields are compared as bytes
-@pytest.mark.parametrize("widths", [(7,), (8,), (9,), (17,), (262_147,), (7, 8, 9, 17, 262_147)])
-def test_self_calls_are_found_by_their_bytes(widths):
+def self_call_pairs(widths):
+    """User pairs of each width, each with whether it is a self-call, and a
+    CDR text with one line per pair."""
     pairs = []
     for width in widths:
         word = "x" * (width - 1)
@@ -438,7 +437,14 @@ def test_self_calls_are_found_by_their_bytes(widths):
             ("\x00" * width, "\x00" * (width + 1), False),
         ]
     lines = [f"{u},{v},out,{i},A" for i, (u, v, _) in enumerate(pairs)]
-    text = CDR_HEADER + "\n" + "\n".join(lines) + "\n"
+    return pairs, CDR_HEADER + "\n" + "\n".join(lines) + "\n"
+
+
+# self-call pairs across the word boundaries of the comparison, and one pair
+# long enough that the fields are compared as bytes
+@pytest.mark.parametrize("widths", [(7,), (8,), (9,), (17,), (262_147,), (7, 8, 9, 17, 262_147)])
+def test_self_calls_are_found_by_their_bytes(widths):
+    pairs, text = self_call_pairs(widths)
     got, expected = parse_both(text, as_bytes=True)
     assert_same_parse(got, expected)
     assert_same_without_users(parse_columnar(text, True, users=False), got)
@@ -446,6 +452,24 @@ def test_self_calls_are_found_by_their_bytes(widths):
     self_calls = [i + 2 for i, (_, _, same) in enumerate(pairs) if same]
     assert [line for line, _ in report.first_errors] == self_calls
     assert all(reason.startswith("self-call") for _, reason in report.first_errors)
+
+
+def test_a_few_long_identifiers_are_not_sorted_word_by_word(monkeypatch):
+    # six lines of 262,147-byte user pairs: each field is 32,769 words long,
+    # and no block or merge holds more than 12 user fields, so sorting them
+    # word by word would take thousands of sort keys for a dozen fields
+    pairs, text = self_call_pairs((262_147,))
+    lexsort = np.lexsort
+
+    def refuse_more_words_than_fields(keys):
+        # one key beyond the words may be the lengths, which break NUL ties
+        assert len(keys) <= len(keys[0]) + 1, (len(keys), len(keys[0]))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", refuse_more_words_than_fields)
+    table, report = parse_cdr_file(io.BytesIO(text.encode("utf-8")))
+    assert list(table) == [rec(u, v, OUT, i, "A") for i, (u, v, same) in enumerate(pairs) if not same]
+    assert report.rejected == sum(same for _, _, same in pairs)
 
 
 @pytest.mark.parametrize(

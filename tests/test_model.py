@@ -1,5 +1,4 @@
 import datetime as dt
-from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -12,8 +11,6 @@ from cdrevents.model import (
     DatasetCalendar,
     Direction,
     build_contact_graph,
-    to_tvg_edge,
-    tvg_slice,
 )
 from helpers import IN, OUT, rec
 
@@ -25,7 +22,7 @@ def local_ts(day, hour=0, minute=0, second=0):
     return T0 + day * 86400 + hour * 3600 + minute * 60 + second
 
 
-# --- records and edges ---------------------------------------------------
+# --- records --------------------------------------------------------------
 
 
 def test_record_rejects_self_call():
@@ -43,19 +40,6 @@ def test_record_rejects_empty_fields():
 def test_record_rejects_bad_direction():
     with pytest.raises(ValueError):
         CallRecord("A", "B", "out", 5, "L1")
-
-
-def test_outgoing_edge_keeps_located_as_caller():
-    edge = to_tvg_edge(rec("A", "B", OUT, 1000))
-    assert (edge.caller, edge.callee) == ("A", "B")
-    assert edge.t_caller == edge.t_callee == 1000
-    assert edge.antenna == "L1"
-
-
-def test_incoming_edge_reverses_parties():
-    edge = to_tvg_edge(rec("A", "B", IN, 1000))
-    assert (edge.caller, edge.callee) == ("B", "A")
-    assert edge.t_caller == edge.t_callee == 1000
 
 
 # --- contact graph --------------------------------------------------------
@@ -86,12 +70,6 @@ def test_four_user_graph_by_hand():
     assert graph.edges == {("A", "B"), ("B", "C"), ("A", "C"), ("B", "D")}
 
 
-def test_client_flags_cover_only_known_users():
-    graph = build_contact_graph([rec("A", "B", OUT, 1)], clients={"A", "ghost"})
-    assert graph.client_flags == {"A": True, "B": False}
-    assert graph.is_client("A") and not graph.is_client("B")
-
-
 def test_graph_rejects_self_loop_and_foreign_endpoint():
     with pytest.raises(ValueError):
         ContactGraph({"A"}, [("A", "A")])
@@ -102,25 +80,6 @@ def test_graph_rejects_self_loop_and_foreign_endpoint():
 def test_neighbors_of_unknown_user_is_empty():
     graph = build_contact_graph([rec("A", "B", OUT, 1)])
     assert graph.neighbors("Z") == frozenset()
-
-
-# --- tvg_slice -------------------------------------------------------------
-
-
-def test_slice_rejects_empty_interval():
-    with pytest.raises(ValueError):
-        tvg_slice([], "L1", 10, 10)
-
-
-def test_slice_filters_by_antenna():
-    records = [rec("A", "B", OUT, 5, "L1"), rec("A", "C", OUT, 6, "L2")]
-    assert tvg_slice(records, "L1", 0, 100) == records[:1]
-
-
-def test_slice_half_open_boundaries():
-    records = [rec("A", "B", OUT, t) for t in (10, 20, 30, 40, 50, 60)]
-    got = tvg_slice(records, "L1", 20, 50)
-    assert [r.timestamp for r in got] == [20, 30, 40]
 
 
 # --- properties ------------------------------------------------------------
@@ -146,7 +105,6 @@ def test_graph_build_is_order_insensitive(records, rnd):
     a = build_contact_graph(records, clients={"A"})
     b = build_contact_graph(shuffled, clients={"A"})
     assert a.nodes == b.nodes and a.edges == b.edges
-    assert a.client_flags == b.client_flags
 
 
 @given(st.lists(records_strategy(), max_size=40))
@@ -154,26 +112,6 @@ def test_edges_bounded_by_distinct_pairs(records):
     graph = build_contact_graph(records)
     pairs = {tuple(sorted((r.located_user, r.other_party))) for r in records}
     assert graph.edges == pairs  # one edge per distinct co-occurring pair
-
-
-@given(records_strategy())
-def test_edge_timestamps_always_equal(record):
-    edge = to_tvg_edge(record)
-    assert edge.t_caller == edge.t_callee == record.timestamp
-
-
-@given(
-    st.lists(records_strategy(), max_size=40),
-    st.integers(0, 7 * 86400),
-    st.integers(1, 86400),
-    st.integers(1, 86400),
-)
-def test_slice_splits_over_adjacent_intervals(records, t_lo, d1, d2):
-    mid, t_hi = t_lo + d1, t_lo + d1 + d2
-    whole = tvg_slice(records, "L1", t_lo, t_hi)
-    left = tvg_slice(records, "L1", t_lo, mid)
-    right = tvg_slice(records, "L1", mid, t_hi)
-    assert Counter(whole) == Counter(left + right)
 
 
 # --- calendar --------------------------------------------------------------

@@ -4,8 +4,9 @@ import json
 import re
 from pathlib import Path
 
-from cdrevents import CallTable
+from cdrevents import CallTable, PlantedEvent
 from cdrevents.cli import main
+from cdrevents.synth import config_from_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,3 +37,11 @@ def test_library_use_block_runs_on_a_generated_corpus(tmp_path, monkeypatch):
     assert type(records) is CallTable
     assert len(records) == report.accepted > 0
     assert namespace["present"]
+
+
+def test_walkthrough_config_is_read_as_documented():
+    section = README.read_text(encoding="utf-8").split("## CLI walkthrough", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    config = config_from_json(json.loads(block))
+    assert (config.n_users, config.n_weeks, config.seed) == (20000, 6, 7)
+    assert config.events == (PlantedEvent(2, 3, 5, 18, 22, 8.0, 400, 0.5),)
