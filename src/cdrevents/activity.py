@@ -21,18 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    DAYS_PER_WEEK,
-    SECONDS_PER_DAY,
-    SECONDS_PER_HOUR,
-    CalendarRangeError,
-    CallRecord,
-    CallTable,
-    DatasetCalendar,
-)
-
-HOURS_PER_DAY = 24
-SLOTS_PER_WEEK = DAYS_PER_WEEK * HOURS_PER_DAY
+from .model import DAYS_PER_WEEK, HOURS_PER_DAY
+from .model import HOURS_PER_WEEK as SLOTS_PER_WEEK
+from .model import CalendarRangeError, CallRecord, CallTable, DatasetCalendar
 
 # (antenna, week, day-of-week, hour)
 SlotKey = tuple[str, int, int, int]
@@ -147,28 +138,21 @@ def aggregate(
     names = [table.antennas[code] for code in used.tolist()]
     antennas = set(names).union(extra_antennas)
     row_of = {a: i for i, a in enumerate(sorted(antennas))}
-    slots_total = calendar.n_weeks * SLOTS_PER_WEEK
+    n_hours = calendar.n_hours
     first_cell_of_codes = np.zeros(len(table.antennas), dtype=np.int64)
-    first_cell_of_codes[used] = [row_of[name] * slots_total for name in names]
-    # one column rewritten in place: local time, hour of the day, grid cell
-    flat = table.timestamp + calendar.utc_offset_minutes * 60
-    day = flat // SECONDS_PER_DAY
-    day -= calendar._start_day
-    out_of_range = (day < 0) | (day >= calendar.n_weeks * DAYS_PER_WEEK)
+    first_cell_of_codes[used] = [row_of[name] * n_hours for name in names]
+    # the calendar hour of each record, rewritten in place to its grid cell
+    flat = calendar.hours(table.timestamp)
+    out_of_range = (flat < 0) | (flat >= n_hours)
     if out_of_range.any():
         bad = int(table.timestamp[out_of_range][0])
         raise CalendarRangeError(
             f"record timestamp {bad} outside calendar starting "
             f"{calendar.epoch_start} ({calendar.n_weeks} weeks)"
         )
-    cells = len(row_of) * slots_total
+    cells = len(row_of) * n_hours
     if cells > np.iinfo(np.intp).max // 8:  # beyond any address space
         raise MemoryError(f"an activity grid of {cells} cells cannot be allocated")
-    flat %= SECONDS_PER_DAY
-    flat //= SECONDS_PER_HOUR
-    day *= HOURS_PER_DAY
-    flat += day  # hour slot within the calendar
-    del day
     flat += first_cell_of_codes[table.antenna]
     binned = np.bincount(flat, minlength=cells)
     grid = binned.reshape(len(row_of), calendar.n_weeks, SLOTS_PER_WEEK)
@@ -252,17 +236,21 @@ def _rank(p: float, n: int) -> int:
     return max(-(-numerator * n // denominator), 1)
 
 
-def percentile_threshold(values: Iterable[float | None], p: float) -> float:
+def percentile_threshold(values: np.ndarray | Iterable[float | None], p: float) -> float:
     """Nearest-rank percentile: the ceil(p*N)-th smallest defined value.
 
-    Undefined entries (None) are excluded first; an empty defined set raises
-    SilentAntennaError.
+    ``values`` is a float array, NaN marking an undefined entry, or any
+    iterable, None marking one.  Undefined entries are excluded first; an
+    empty defined set raises SilentAntennaError.
     """
-    defined = sorted(v for v in values if v is not None)
-    rank = _rank(p, len(defined))
-    if not defined:
+    if isinstance(values, np.ndarray):
+        defined = values[~np.isnan(values)]
+    else:
+        defined = np.fromiter((v for v in values if v is not None), float)
+    k = _rank(p, defined.size) - 1
+    if not defined.size:
         raise SilentAntennaError("no defined values to take a percentile of")
-    return defined[rank - 1]
+    return float(np.partition(defined, k)[k])
 
 
 @dataclass(frozen=True)
@@ -291,10 +279,8 @@ def detect_events(series: EventIndexSeries, p: float = 0.99) -> list[DetectedEve
     grid = series.grid.reshape(n_antennas, series.n_weeks, DAYS_PER_WEEK, HOURS_PER_DAY)
     thresholds = np.full((n_antennas, 1, 1, 1), np.nan)  # NaN flags nothing
     for i, row in enumerate(grid):
-        defined = row[~np.isnan(row)]
-        if defined.size:
-            k = _rank(p, defined.size) - 1
-            thresholds[i] = np.partition(defined, k)[k]
+        if not np.isnan(row).all():
+            thresholds[i] = percentile_threshold(row, p)
     flagged = grid > thresholds
 
     events: list[DetectedEvent] = []

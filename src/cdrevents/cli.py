@@ -198,6 +198,8 @@ def cmd_generate(args) -> int:
         result = synth.generate(config)
     except synth.ConfigError as exc:
         raise CliError(str(exc)) from exc
+    except MemoryError:
+        raise CliError(f"the corpus that {args.config} asks for is too large for memory") from None
 
     with atomic_output(args.out / CDR_FILENAME) as stream:
         write_cdr_file(result.records, stream)

@@ -18,9 +18,11 @@ import numpy as np
 
 SECONDS_PER_HOUR = 3_600
 SECONDS_PER_DAY = 86_400
+HOURS_PER_DAY = 24
 DAYS_PER_WEEK = 7
+HOURS_PER_WEEK = DAYS_PER_WEEK * HOURS_PER_DAY
 
-_UNIX_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+_UNIX_EPOCH = dt.date(1970, 1, 1)
 
 
 class Direction(Enum):
@@ -327,36 +329,43 @@ class DatasetCalendar:
             raise ValueError("calendar needs at least one whole week")
 
     @property
-    def _start_day(self) -> int:
-        return self.epoch_start.toordinal() - _UNIX_EPOCH_ORDINAL
+    def n_hours(self) -> int:
+        return self.n_weeks * HOURS_PER_WEEK
 
     @property
     def start_epoch_seconds(self) -> int:
         """First instant of week 0, as an epoch timestamp."""
-        return self._start_day * SECONDS_PER_DAY - self.utc_offset_minutes * 60
+        return (self.epoch_start - _UNIX_EPOCH).days * SECONDS_PER_DAY - self.utc_offset_minutes * 60
 
     @property
     def end_epoch_seconds(self) -> int:
         """First instant after the last week (exclusive bound)."""
-        return self.start_epoch_seconds + self.n_weeks * DAYS_PER_WEEK * SECONDS_PER_DAY
+        return self.start_epoch_seconds + self.n_hours * SECONDS_PER_HOUR
+
+    def hours(self, timestamps):
+        """Calendar hour ``week * 168 + dow * 24 + hour`` of an epoch timestamp
+        or of each one in an int64 array: negative or at least ``n_hours``
+        outside the calendar."""
+        hours = timestamps - self.start_epoch_seconds
+        hours //= SECONDS_PER_HOUR
+        return hours
 
     def contains(self, timestamp: int) -> bool:
-        return self.start_epoch_seconds <= timestamp < self.end_epoch_seconds
+        return 0 <= self.hours(timestamp) < self.n_hours
 
     def slot(self, timestamp: int) -> tuple[int, int, int]:
         """(week, day-of-week, hour) of an epoch timestamp.
 
         Raises CalendarRangeError outside the configured weeks.
         """
-        shifted = timestamp + self.utc_offset_minutes * 60
-        day = shifted // SECONDS_PER_DAY - self._start_day
-        if not 0 <= day < self.n_weeks * DAYS_PER_WEEK:
+        hours = self.hours(timestamp)
+        if not 0 <= hours < self.n_hours:
             raise CalendarRangeError(
                 f"timestamp {timestamp} outside calendar starting {self.epoch_start} "
                 f"({self.n_weeks} weeks)"
             )
-        week, dow = divmod(day, DAYS_PER_WEEK)
-        hour = shifted % SECONDS_PER_DAY // SECONDS_PER_HOUR
+        week, hour_of_week = divmod(hours, HOURS_PER_WEEK)
+        dow, hour = divmod(hour_of_week, HOURS_PER_DAY)
         return int(week), int(dow), int(hour)
 
     def slot_of_date(self, day: dt.date) -> tuple[int, int]:
@@ -382,13 +391,10 @@ class DatasetCalendar:
         if not (0 <= start_hour < end_hour <= 24):
             raise ValueError(f"bad hour window [{start_hour}, {end_hour})")
         self.date_of(week, dow)  # range check
-        day_start = (
-            self.start_epoch_seconds
-            + (week * DAYS_PER_WEEK + dow) * SECONDS_PER_DAY
-        )
+        day = week * HOURS_PER_WEEK + dow * HOURS_PER_DAY
         return (
-            day_start + start_hour * SECONDS_PER_HOUR,
-            day_start + end_hour * SECONDS_PER_HOUR,
+            self.start_epoch_seconds + (day + start_hour) * SECONDS_PER_HOUR,
+            self.start_epoch_seconds + (day + end_hour) * SECONDS_PER_HOUR,
         )
 
     @classmethod
@@ -409,15 +415,11 @@ class DatasetCalendar:
         stamps = CallTable.from_records(records).timestamp
         if not stamps.size:
             raise ValueError("cannot derive a calendar from an empty corpus")
-        offset = utc_offset_minutes * 60
-        first_day = (int(stamps.min()) + offset) // SECONDS_PER_DAY
-        last_day = (int(stamps.max()) + offset) // SECONDS_PER_DAY
-        if epoch_start is not None:
-            start_day = epoch_start.toordinal() - _UNIX_EPOCH_ORDINAL
-        else:
-            start_day = first_day
-            epoch_start = dt.date.fromordinal(first_day + _UNIX_EPOCH_ORDINAL)
-        n_weeks = (last_day - start_day + 1) // DAYS_PER_WEEK
+        if epoch_start is None:
+            first = cls(_UNIX_EPOCH, 1, utc_offset_minutes).hours(int(stamps.min()))
+            epoch_start = dt.date.fromordinal(_UNIX_EPOCH.toordinal() + first // HOURS_PER_DAY)
+        last = cls(epoch_start, 1, utc_offset_minutes).hours(int(stamps.max()))
+        n_weeks = (last // HOURS_PER_DAY + 1) // DAYS_PER_WEEK
         if n_weeks < 1:
             raise ValueError("corpus spans less than one whole week")
         return cls(epoch_start, n_weeks, utc_offset_minutes)

@@ -35,25 +35,27 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .ingest import _is_binary
-from .model import (
-    DAYS_PER_WEEK,
-    SECONDS_PER_DAY,
-    SECONDS_PER_HOUR,
-    CallTable,
-    DatasetCalendar,
-)
+from .model import DAYS_PER_WEEK, HOURS_PER_DAY, SECONDS_PER_HOUR, CallTable, DatasetCalendar
 
 DEFAULT_EPOCH_START = dt.date(2012, 1, 2)  # a Monday
 DEFAULT_UTC_OFFSET_MINUTES = -180
 DEFAULT_GROUP_SIZES: Mapping[int, float] = {2: 0.6, 3: 0.25, 4: 0.1, 7: 0.05}
 
-HOURS_PER_DAY = 24
 # numpy's Generator.poisson refuses a larger mean ("lam value too large")
 _MAX_POISSON_MEAN = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
 class ConfigError(ValueError):
     """Invalid or infeasible generator configuration."""
+
+
+def _check_integers(obj: Any, *names: str) -> None:
+    """Raise ConfigError unless each named field of ``obj`` is an integer
+    (a bool is not)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def user_id(index: int) -> str:
@@ -66,7 +68,7 @@ def antenna_id(index: int) -> str:
 
 def flat_profile(mean: float) -> tuple[tuple[float, ...], ...]:
     """A weekly profile with the same mean for every (day, hour) slot."""
-    return tuple(tuple(float(mean) for _ in range(HOURS_PER_DAY)) for _ in range(7))
+    return tuple(tuple(float(mean) for _ in range(HOURS_PER_DAY)) for _ in range(DAYS_PER_WEEK))
 
 
 @dataclass(frozen=True)
@@ -87,18 +89,30 @@ class PlantedEvent:
     social_fraction: float = 0.5
 
     def __post_init__(self) -> None:
+        _check_integers(self, "antenna", "week", "dow", "start_hour", "end_hour", "n_attendees")
         if not (0 <= self.start_hour < self.end_hour <= 24):
             raise ConfigError(
                 f"event window [{self.start_hour}, {self.end_hour}) not within 0-24"
             )
         if not 0 <= self.dow <= 6:
             raise ConfigError(f"bad event day-of-week {self.dow}")
-        if self.intensity_multiplier <= 1.0:
+        if not self.intensity_multiplier > 1.0:
             raise ConfigError("intensity_multiplier must exceed 1")
         if not 0.0 <= self.social_fraction <= 1.0:
             raise ConfigError("social_fraction must be in [0, 1]")
         if self.n_attendees < 0:
             raise ConfigError("n_attendees must be nonnegative")
+
+    def extra_means(self, profile: Sequence[Sequence[float]]) -> list[float]:
+        """Mean count of extra calls in each window hour that tops the
+        hour's profile mean up to ``intensity_multiplier`` times, net of the
+        attendees' own presence calls (negative where those suffice)."""
+        presence_per_hour = self.n_attendees / (self.end_hour - self.start_hour)
+        return [
+            (self.intensity_multiplier - 1.0) * float(profile[self.dow][hour])
+            - presence_per_hour
+            for hour in range(self.start_hour, self.end_hour)
+        ]
 
 
 @dataclass(frozen=True)
@@ -121,9 +135,7 @@ class SynthConfig:
     utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES
 
     def __post_init__(self) -> None:
-        for name in ("seed", "n_users", "n_antennas", "n_weeks"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_integers(self, "seed", "n_users", "n_antennas", "n_weeks")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.n_users < 0 or self.n_antennas < 0:
@@ -132,10 +144,13 @@ class SynthConfig:
             raise ConfigError("n_weeks must be at least 2 (the index needs a baseline)")
         if not 0.0 <= self.client_fraction <= 1.0:
             raise ConfigError(f"client_fraction {self.client_fraction} not in [0, 1]")
-        profile = np.asarray(self.baseline_profile, dtype=float)
-        if profile.shape != (7, HOURS_PER_DAY):
+        try:
+            profile = np.asarray(self.baseline_profile, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad baseline_profile: {exc}") from exc
+        if profile.shape != (DAYS_PER_WEEK, HOURS_PER_DAY):
             raise ConfigError(
-                f"baseline_profile must be 7x{HOURS_PER_DAY}, got {profile.shape}"
+                f"baseline_profile must be {DAYS_PER_WEEK}x{HOURS_PER_DAY}, got {profile.shape}"
             )
         if not ((profile >= 0) & (profile <= _MAX_POISSON_MEAN)).all():
             raise ConfigError(f"baseline_profile means must be in [0, {_MAX_POISSON_MEAN:.6g}]")
@@ -148,15 +163,15 @@ class SynthConfig:
         for size, prob in dist.items():
             if not isinstance(size, int) or size < 1:
                 raise ConfigError(f"bad group size {size!r}")
-            if prob < 0:
-                raise ConfigError(f"negative probability for group size {size}")
-        if abs(sum(dist.values()) - 1.0) > 1e-9:
+            if not prob >= 0:
+                raise ConfigError(f"bad probability {prob!r} for group size {size}")
+        if not abs(sum(dist.values()) - 1.0) <= 1e-9:
             raise ConfigError("group_size_distribution must sum to 1")
         object.__setattr__(self, "group_size_distribution", dist)
         if not 0.0 <= self.popularity_exponent <= 3.0:
             raise ConfigError("popularity_exponent must be in [0, 3]")
-        if not self.social_circle_size >= 0.0:
-            raise ConfigError("social_circle_size must be nonnegative")
+        if not 0.0 <= self.social_circle_size <= _MAX_POISSON_MEAN:
+            raise ConfigError(f"social_circle_size must be in [0, {_MAX_POISSON_MEAN:.6g}]")
         object.__setattr__(self, "events", tuple(self.events))
         for ev in self.events:
             if not 0 <= ev.antenna < self.n_antennas:
@@ -170,6 +185,12 @@ class SynthConfig:
                 )
             if ev.n_attendees > 0 and self.n_users < 2:
                 raise ConfigError("events need at least 2 users to form calls")
+            if not all(m <= _MAX_POISSON_MEAN for m in ev.extra_means(self.baseline_profile)):
+                raise ConfigError(
+                    f"event at antenna {ev.antenna}: intensity_multiplier "
+                    f"{ev.intensity_multiplier:.6g} asks for more than "
+                    f"{_MAX_POISSON_MEAN:.6g} extra calls an hour"
+                )
 
     @property
     def n_clients(self) -> int:
@@ -329,7 +350,7 @@ def generate(config: SynthConfig) -> SynthResult:
     can_call = config.n_users >= 2 and n_clients >= 1
 
     if can_call and lam.any():
-        lam_weeks = np.broadcast_to(lam, (config.n_weeks, 7, HOURS_PER_DAY))
+        lam_weeks = np.broadcast_to(lam, (config.n_weeks, *lam.shape))
         for antenna, child_seq in enumerate(antenna_seqs):
             rng = np.random.default_rng(child_seq)
             slot_counts = rng.poisson(lam_weeks)
@@ -351,7 +372,7 @@ def generate(config: SynthConfig) -> SynthResult:
 
     event_rng = np.random.default_rng(event_seq)
     group_assignments: dict[int, list[frozenset[str]]] = {}
-    corpus_seconds = config.n_weeks * DAYS_PER_WEEK * SECONDS_PER_DAY
+    corpus_seconds = calendar.end_epoch_seconds - t0
     for event_index, ev in enumerate(config.events):
         groups: list[frozenset[str]] = []
         group_assignments[event_index] = groups
@@ -360,13 +381,10 @@ def generate(config: SynthConfig) -> SynthResult:
         attendee_idx = client_idx[
             event_rng.choice(n_clients, size=ev.n_attendees, replace=False)
         ]
-        window_hours = ev.end_hour - ev.start_hour
-        window_start = (
-            t0
-            + ((ev.week * DAYS_PER_WEEK + ev.dow) * HOURS_PER_DAY + ev.start_hour)
-            * SECONDS_PER_HOUR
+        window_start, window_end = calendar.window_interval(
+            ev.week, ev.dow, ev.start_hour, ev.end_hour
         )
-        window_seconds = window_hours * SECONDS_PER_HOUR
+        window_seconds = window_end - window_start
 
         # guaranteed presence: one in-window call per attendee
         ts_presence = window_start + event_rng.integers(0, window_seconds, ev.n_attendees)
@@ -379,15 +397,11 @@ def generate(config: SynthConfig) -> SynthResult:
         )
 
         # extra in-window volume so the slot mean hits multiplier x baseline
-        presence_per_hour = ev.n_attendees / window_hours
-        for hour in range(ev.start_hour, ev.end_hour):
-            extra_mean = (ev.intensity_multiplier - 1.0) * float(
-                lam[ev.dow, hour]
-            ) - presence_per_hour
+        for hour, extra_mean in enumerate(ev.extra_means(config.baseline_profile)):
             n_extra = int(event_rng.poisson(max(0.0, extra_mean)))
             if n_extra == 0:
                 continue
-            hour_start = window_start + (hour - ev.start_hour) * SECONDS_PER_HOUR
+            hour_start = window_start + hour * SECONDS_PER_HOUR
             located = attendee_idx[event_rng.integers(0, ev.n_attendees, n_extra)]
             columns.add(
                 hour_start + event_rng.integers(0, SECONDS_PER_HOUR, n_extra),

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -69,6 +70,13 @@ def test_out_of_range_record_is_fatal():
         aggregate([rec("A", "B", OUT, T0 - 1)], CAL)
     with pytest.raises(CalendarRangeError):
         aggregate([rec("A", "B", OUT, CAL.end_epoch_seconds)], CAL)
+
+
+@pytest.mark.parametrize("epoch_start", [dt.date(1960, 1, 4), dt.date(2012, 1, 2)])
+@pytest.mark.parametrize("timestamp", [-(2**63), 2**63 - 1])
+def test_int64_extreme_record_is_out_of_range(epoch_start, timestamp):
+    with pytest.raises(CalendarRangeError):
+        aggregate([rec("A", "B", OUT, timestamp)], DatasetCalendar(epoch_start, 3))
 
 
 def test_extra_antennas_join_the_universe():
@@ -142,27 +150,41 @@ def test_silent_antenna_listed():
 # --- percentile ------------------------------------------------------------
 
 
+def nan_array(values):
+    """The float array form of ``values``: NaN where the iterable has None."""
+    return np.array([np.nan if v is None else v for v in values], dtype=float)
+
+
+def threshold(values, p):
+    """percentile_threshold of ``values`` as an iterable with None, checked to
+    give the same answer as the float array with NaN."""
+    values = list(values)
+    got = percentile_threshold(values, p)
+    assert percentile_threshold(nan_array(values), p) == got
+    return got
+
+
 def test_nearest_rank_on_1_to_100():
-    assert percentile_threshold(range(1, 101), 0.99) == 99
+    assert threshold(range(1, 101), 0.99) == 99
 
 
 def test_single_value_any_percentile():
-    assert percentile_threshold([7.0], 0.5) == 7.0
-    assert percentile_threshold([7.0], 1.0) == 7.0
+    assert threshold([7.0], 0.5) == 7.0
+    assert threshold([7.0], 1.0) == 7.0
 
 
 def test_constant_values():
-    assert percentile_threshold([2.0, 2.0, 2.0], 0.99) == 2.0
+    assert threshold([2.0, 2.0, 2.0], 0.99) == 2.0
 
 
 def test_rank_uses_exact_arithmetic():
     # float 0.99 is just below 99/100, so the rank is 99, not 100
-    assert percentile_threshold(range(1, 101), 0.99) == 99
-    assert percentile_threshold(range(1, 11), 0.5) == 5
+    assert threshold(range(1, 101), 0.99) == 99
+    assert threshold(range(1, 11), 0.5) == 5
 
 
 def test_fractional_rank_rounds_up():
-    assert percentile_threshold(range(1, 101), 0.995) == 100
+    assert threshold(range(1, 101), 0.995) == 100
 
 
 @settings(max_examples=500, deadline=None)
@@ -185,19 +207,21 @@ def test_rank_is_the_exact_ceiling(p, n):
 
 
 def test_undefined_entries_excluded():
-    assert percentile_threshold([None, 3.0, None, 1.0], 1.0) == 3.0
+    assert threshold([None, 3.0, None, 1.0], 1.0) == 3.0
 
 
 def test_empty_defined_set_raises():
-    with pytest.raises(SilentAntennaError):
-        percentile_threshold([None, None], 0.99)
+    for form in (list, nan_array):
+        with pytest.raises(SilentAntennaError):
+            percentile_threshold(form([None, None]), 0.99)
 
 
 def test_percentile_bounds_validated():
-    with pytest.raises(ValueError):
-        percentile_threshold([1.0], 0.0)
-    with pytest.raises(ValueError):
-        percentile_threshold([1.0], 1.2)
+    for form in (list, nan_array):
+        with pytest.raises(ValueError):
+            percentile_threshold(form([1.0]), 0.0)
+        with pytest.raises(ValueError):
+            percentile_threshold(form([1.0]), 1.2)
 
 
 # --- detection -------------------------------------------------------------

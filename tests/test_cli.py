@@ -125,6 +125,7 @@ TINY_CONFIG = {
     "events": [{"antenna": 1, "week": 1, "dow": 2, "n_attendees": 10}],
 }
 TINY_EVENT = TINY_CONFIG["events"][0]
+DROP = object()  # a config change that removes its key
 
 
 # config changes and flags that each made the generator end in a traceback
@@ -141,19 +142,38 @@ BAD_GENERATOR_INPUTS = {
     "seed not a number": ({"seed": "x"}, []),
     "group_size_distribution not an object": ({"group_size_distribution": [1]}, []),
     "--seed negative": ({}, ["--seed", "-1"]),
+    "event antenna not an integer": ({"events": [dict(TINY_EVENT, antenna=1.5)]}, []),
+    "event week a float": ({"events": [dict(TINY_EVENT, week=1.0)]}, []),
+    "event n_attendees not an integer": ({"events": [dict(TINY_EVENT, n_attendees=10.5)]}, []),
+    "event dow a bool": ({"events": [dict(TINY_EVENT, dow=True)]}, []),
+    "intensity_multiplier beyond numpy's Poisson mean": (
+        {"events": [dict(TINY_EVENT, intensity_multiplier=1e300)]}, []),
+    "intensity_multiplier infinite": (
+        {"events": [dict(TINY_EVENT, intensity_multiplier=float("inf"))]}, []),
+    "intensity_multiplier infinite on a zero profile": (
+        {"baseline_mean": 0.0, "events": [dict(TINY_EVENT, intensity_multiplier=float("inf"))]},
+        []),
+    "intensity_multiplier NaN": ({"events": [dict(TINY_EVENT, intensity_multiplier=float("nan"))]}, []),
+    "baseline_profile holding a string": (
+        {"baseline_mean": DROP, "baseline_profile": [[1.0] * 23 + ["x"]] * 7}, []),
+    "group size probability NaN": ({"group_size_distribution": {"2": float("nan")}}, []),
+    "social_circle_size infinite": ({"social_circle_size": float("inf")}, []),
+    "n_weeks too large for memory": ({"n_weeks": 10**13}, []),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_GENERATOR_INPUTS))
 def test_a_bad_generator_input_is_one_error_line(tmp_path, case):
     changes, flags = BAD_GENERATOR_INPUTS[case]
-    config = write_config(tmp_path, dict(TINY_CONFIG, **changes))
+    payload = {key: value for key, value in dict(TINY_CONFIG, **changes).items() if value is not DROP}
+    config = write_config(tmp_path, payload)
     proc = run_cli("-m", "cdrevents.cli", "generate", str(config), "--out", "out", *flags,
                    cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1
     assert not (tmp_path / "out" / "cdr.csv").exists()
+    assert not (tmp_path / "out" / "truth.csv").exists()
 
 
 # --- detect --------------------------------------------------------------------

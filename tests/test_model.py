@@ -1,5 +1,6 @@
 import datetime as dt
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -154,6 +155,37 @@ def test_window_interval_matches_slots():
     assert CAL.slot(t_lo) == (1, 2, 18)
     assert CAL.slot(t_hi - 1) == (1, 2, 21)
     assert t_hi - t_lo == 4 * 3600
+
+
+@given(
+    st.integers(-14 * 60, 14 * 60),
+    st.dates(dt.date(1900, 1, 1), dt.date(2100, 1, 1)),
+    st.integers(0, 3 * 7 * 86400 - 1),
+)
+def test_hours_count_local_hours_from_week_zero(offset, epoch_start, seconds):
+    cal = DatasetCalendar(epoch_start, 3, offset)
+    ts = cal.start_epoch_seconds + seconds
+    local = dt.datetime.fromtimestamp(ts, dt.timezone(dt.timedelta(minutes=offset)))
+    days = (local.date() - epoch_start).days
+    assert cal.hours(ts) == days * 24 + local.hour
+    assert cal.hours(np.array([ts], dtype=np.int64)).tolist() == [cal.hours(ts)]
+    assert cal.slot(ts) == (days // 7, days % 7, local.hour)
+
+
+INT64_EXTREMES = (-(2**63), 2**63 - 1)
+
+
+# week 0 before 1970 makes the subtraction in hours wrap at the top extreme,
+# after 1970 at the bottom one
+@pytest.mark.parametrize("epoch_start", [dt.date(1960, 1, 4), dt.date(2012, 1, 2)])
+def test_int64_extremes_fall_outside_the_calendar(epoch_start):
+    cal = DatasetCalendar(epoch_start, 3, -180)
+    hours = cal.hours(np.array(INT64_EXTREMES, dtype=np.int64))
+    assert ((hours < 0) | (hours >= cal.n_hours)).all()
+    for ts in INT64_EXTREMES:
+        assert not cal.contains(ts)
+        with pytest.raises(CalendarRangeError):
+            cal.slot(ts)
 
 
 def test_from_records_truncates_partial_trailing_week():
