@@ -34,7 +34,7 @@ from .ingest import (
     write_cdr_file,
     write_client_roster,
 )
-from .model import CalendarRangeError, DatasetCalendar, build_contact_graph
+from .model import MAX_UTC_OFFSET_MINUTES, CalendarRangeError, DatasetCalendar, build_contact_graph
 
 CDR_FILENAME = "cdr.csv"
 ROSTER_FILENAME = "clients.txt"
@@ -47,8 +47,6 @@ SUMMARY_HEADER = "attenders,social_attenders,singlets,max_component"
 ATTENDANCE_HEADER = "k,numerator,denominator,p"
 CUMULATIVE_HEADER = "K,p"
 FIT_HEADER = "slope,intercept,r,n_points"
-# real UTC offsets run from -12:00 to +14:00
-MAX_UTC_OFFSET_MINUTES = 14 * 60
 
 
 class CliError(Exception):

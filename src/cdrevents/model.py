@@ -21,6 +21,8 @@ SECONDS_PER_DAY = 86_400
 HOURS_PER_DAY = 24
 DAYS_PER_WEEK = 7
 HOURS_PER_WEEK = DAYS_PER_WEEK * HOURS_PER_DAY
+# real UTC offsets run from -12:00 to +14:00
+MAX_UTC_OFFSET_MINUTES = 14 * 60
 
 _UNIX_EPOCH = dt.date(1970, 1, 1)
 

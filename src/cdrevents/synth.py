@@ -23,6 +23,12 @@ Everything is drawn from numpy Generators seeded through a single
 SeedSequence, so a given (config, numpy version) pair always produces the
 same corpus byte for byte.  Counts are Poisson; only the mean structure is
 modeled, not burstiness or durations.
+
+Memory: each record is held once, in the dtypes of the finished table (21
+bytes a row), as soon as it is drawn; the draws themselves stay int64 one
+batch at a time, since a narrower ``rng.integers`` dtype changes the
+stream.  Building the table adds the stable timestamp order (8 bytes a row)
+and one column being joined and ordered at a time.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import _is_binary
-from .model import DAYS_PER_WEEK, HOURS_PER_DAY, SECONDS_PER_HOUR, CallTable, DatasetCalendar
+from .ingest import _is_binary, _joined
+from .model import DAYS_PER_WEEK, HOURS_PER_DAY, MAX_UTC_OFFSET_MINUTES, SECONDS_PER_HOUR
+from .model import CallTable, DatasetCalendar
 
 DEFAULT_EPOCH_START = dt.date(2012, 1, 2)  # a Monday
 DEFAULT_UTC_OFFSET_MINUTES = -180
@@ -43,6 +50,10 @@ DEFAULT_GROUP_SIZES: Mapping[int, float] = {2: 0.6, 3: 0.25, 4: 0.1, 7: 0.05}
 
 # numpy's Generator.poisson refuses a larger mean ("lam value too large")
 _MAX_POISSON_MEAN = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+# guide-table steps a weighted draw takes before it falls back to a binary
+# search: at popularity exponent 0.5 every weight is about 1/(2 n_users) or
+# more, at least a bucket's width, so one step always suffices there
+_GUIDE_STEPS = 2
 
 
 class ConfigError(ValueError):
@@ -135,13 +146,15 @@ class SynthConfig:
     utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES
 
     def __post_init__(self) -> None:
-        _check_integers(self, "seed", "n_users", "n_antennas", "n_weeks")
+        _check_integers(self, "seed", "n_users", "n_antennas", "n_weeks", "utc_offset_minutes")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.n_users < 0 or self.n_antennas < 0:
             raise ConfigError("n_users and n_antennas must be nonnegative")
         if self.n_weeks < 2:
             raise ConfigError("n_weeks must be at least 2 (the index needs a baseline)")
+        if abs(self.utc_offset_minutes) > MAX_UTC_OFFSET_MINUTES:
+            raise ConfigError(f"utc_offset_minutes {self.utc_offset_minutes} beyond ±14:00")
         if not 0.0 <= self.client_fraction <= 1.0:
             raise ConfigError(f"client_fraction {self.client_fraction} not in [0, 1]")
         try:
@@ -216,31 +229,37 @@ class SynthResult:
 
 
 class _Columns:
-    """Column-oriented record accumulator, built once into a time-sorted table."""
+    """Record accumulator that holds each record once, in the dtype of the
+    finished table, and builds the time-sorted table one column at a time."""
 
-    def __init__(self) -> None:
-        self.parts: list[tuple[np.ndarray, ...]] = []
+    def __init__(self, users: list[str], antenna_names: list[str]) -> None:
+        self.user_rank, self.users = _ranks(users)
+        self.antenna_rank, self.antennas = _ranks(antenna_names)
+        # the table's columns: timestamp, located, other, outgoing, antenna
+        self.parts: tuple[list[np.ndarray], ...] = tuple(
+            [np.empty(0, dtype)] for dtype in (np.int64, np.int32, np.int32, bool, np.int32)
+        )
 
     def add(self, ts, antenna, located, other, direction) -> None:
-        self.parts.append(
-            tuple(np.asarray(c, dtype=np.int64) for c in (ts, antenna, located, other, direction))
-        )
+        """Store a batch of int64 draws (``antenna`` may be one index): users
+        and antennas as their int32 codes, which follow the string order of
+        the ids, not the order they are numbered in once they outgrow their
+        zero padding (``u1000000`` < ``u100001``), and direction 0 as
+        outgoing."""
+        columns = (ts, self.user_rank[located], self.user_rank[other], direction == 0,
+                   np.broadcast_to(self.antenna_rank[antenna], ts.shape))
+        for part, column in zip(self.parts, columns):
+            part.append(column)
 
-    def build(self, users: list[str], antenna_names: list[str]) -> CallTable:
-        """The rows sorted stably by timestamp, direction 0 outgoing, coded in
-        the string order of the ids, which is not the order they are numbered
-        in once they outgrow their zero padding (``u1000000`` < ``u100001``)."""
-        ts, ant, loc, oth, direction = (
-            np.concatenate([part[i] for part in self.parts] or [np.empty(0, np.int64)])
-            for i in range(5)
-        )
-        order = np.argsort(ts, kind="stable")
-        user_rank, users = _ranks(users)
-        antenna_rank, antennas = _ranks(antenna_names)
-        return CallTable(
-            ts[order], user_rank[loc[order]], user_rank[oth[order]], direction[order] == 0,
-            antenna_rank[ant[order]], users, antennas,
-        )
+    def build(self) -> CallTable:
+        """The rows sorted stably by timestamp; each column's parts are freed
+        once it is joined and ordered."""
+        timestamp = _joined(self.parts[0])
+        order = np.argsort(timestamp, kind="stable")
+        columns = [timestamp[order]]
+        del timestamp
+        columns += [_joined(part)[order] for part in self.parts[1:]]
+        return CallTable(*columns, self.users, self.antennas)
 
 
 def _ranks(names: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -251,25 +270,59 @@ def _ranks(names: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     return rank, tuple(names[i] for i in order)
 
 
-def _popularity_weights(
+class _WeightedDraw:
+    """``rng.choice(len(p), size, p=p)`` without its per-call checks and
+    cumulative sum: the same indices from the same one ``rng.random(size)``
+    call, so the Generator ends in the same state.
+
+    The cdf is built once, as numpy builds it, and each draw ``u`` becomes
+    ``#(cdf <= u)`` by indexed search (Chen & Asau, 1974): a guide table over
+    a power-of-two number of equal buckets, at least two per weight, gives
+    the count up to ``u``'s bucket, and a few vectorized steps cover the
+    entries inside it.  Draws in a crowded bucket fall back to a binary
+    search.
+    """
+
+    def __init__(self, p: np.ndarray) -> None:
+        self.p = p
+        self.cdf = p.cumsum()
+        self.cdf /= self.cdf[-1]
+        # a power of two, so that u * buckets is exact
+        self.buckets = 1 << (2 * len(p) - 1).bit_length()
+        self.guide = self.cdf.searchsorted(
+            np.arange(self.buckets) / self.buckets, side="right"
+        )
+
+    def __call__(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        u = rng.random(size)
+        index = self.guide[(u * self.buckets).astype(np.intp)]
+        late = np.flatnonzero(self.cdf[index] <= u)
+        for _ in range(_GUIDE_STEPS):
+            index[late] += 1
+            late = late[self.cdf[index[late]] <= u[late]]
+        index[late] = self.cdf.searchsorted(u[late], side="right")
+        return index
+
+
+def _popularity_draw(
     rng: np.random.Generator, n_users: int, exponent: float
-) -> np.ndarray | None:
-    """Per-user other-party probabilities, Zipf-like over a random rank
-    permutation; None means uniform."""
+) -> _WeightedDraw | None:
+    """The other-party draw, Zipf-like over a random rank permutation of the
+    users; None means uniform."""
     if exponent == 0.0 or n_users < 2:
         return None
     ranks = np.empty(n_users, dtype=np.float64)
     ranks[rng.permutation(n_users)] = np.arange(n_users, dtype=np.float64)
     # the +10 shift caps the most popular user's share
     weights = (ranks + 10.0) ** -exponent
-    return weights / weights.sum()
+    return _WeightedDraw(weights / weights.sum())
 
 
 def _draw_other(
     rng: np.random.Generator,
     n_users: int,
     located: np.ndarray,
-    popularity: np.ndarray | None,
+    popularity: _WeightedDraw | None,
 ) -> np.ndarray:
     """Other parties, redrawn wherever they collide with the located user
     (requires n_users >= 2 to terminate)."""
@@ -277,7 +330,7 @@ def _draw_other(
     def draw(size: int) -> np.ndarray:
         if popularity is None:
             return rng.integers(0, n_users, size)
-        return rng.choice(n_users, size=size, p=popularity)
+        return popularity(rng, size)
 
     other = draw(len(located))
     collision = other == located
@@ -340,13 +393,11 @@ def generate(config: SynthConfig) -> SynthResult:
     else:
         client_idx = np.empty(0, dtype=np.int64)
     clients = {users[i] for i in client_idx.tolist()}
-    popularity = _popularity_weights(
-        setup_rng, config.n_users, config.popularity_exponent
-    )
+    popularity = _popularity_draw(setup_rng, config.n_users, config.popularity_exponent)
 
     lam = np.asarray(config.baseline_profile, dtype=float)
     t0 = calendar.start_epoch_seconds
-    columns = _Columns()
+    columns = _Columns(users, antenna_names)
     can_call = config.n_users >= 2 and n_clients >= 1
 
     if can_call and lam.any():
@@ -364,7 +415,7 @@ def generate(config: SynthConfig) -> SynthResult:
             located = client_idx[rng.integers(0, n_clients, total)]
             columns.add(
                 ts,
-                np.full(total, antenna, dtype=np.int64),
+                antenna,
                 located,
                 _draw_other(rng, config.n_users, located, popularity),
                 rng.integers(0, 2, total),
@@ -390,7 +441,7 @@ def generate(config: SynthConfig) -> SynthResult:
         ts_presence = window_start + event_rng.integers(0, window_seconds, ev.n_attendees)
         columns.add(
             ts_presence,
-            np.full(ev.n_attendees, ev.antenna, dtype=np.int64),
+            ev.antenna,
             attendee_idx,
             _draw_other(event_rng, config.n_users, attendee_idx, popularity),
             event_rng.integers(0, 2, ev.n_attendees),
@@ -405,7 +456,7 @@ def generate(config: SynthConfig) -> SynthResult:
             located = attendee_idx[event_rng.integers(0, ev.n_attendees, n_extra)]
             columns.add(
                 hour_start + event_rng.integers(0, SECONDS_PER_HOUR, n_extra),
-                np.full(n_extra, ev.antenna, dtype=np.int64),
+                ev.antenna,
                 located,
                 _draw_other(event_rng, config.n_users, located, popularity),
                 event_rng.integers(0, 2, n_extra),
@@ -434,7 +485,10 @@ def generate(config: SynthConfig) -> SynthResult:
                     pair_v.append(v)
             # the rest of the group's social circle stays home
             stay_home_mean = max(0.0, config.social_circle_size - size)
-            for _ in range(int(event_rng.poisson(stay_home_mean))):
+            n_home = int(event_rng.poisson(stay_home_mean))
+            if ev.n_attendees == config.n_users:
+                n_home = 0  # everyone attends, so nobody stays home
+            for _ in range(n_home):
                 outsider = int(event_rng.integers(0, config.n_users))
                 while outsider in attendee_set:
                     outsider = int(event_rng.integers(0, config.n_users))
@@ -473,7 +527,7 @@ def generate(config: SynthConfig) -> SynthResult:
             wire(acq_member, acq_other, swap_sides=False)
 
     return SynthResult(
-        records=columns.build(users, antenna_names),
+        records=columns.build(),
         clients=clients,
         truth=list(config.events),
         group_assignments=group_assignments,
@@ -517,7 +571,6 @@ _FROM_JSON: dict[str, Callable[[Any], Any]] = {
     "popularity_exponent": float,
     "social_circle_size": float,
     "epoch_start": dt.date.fromisoformat,
-    "utc_offset_minutes": int,
 }
 
 

@@ -159,6 +159,10 @@ BAD_GENERATOR_INPUTS = {
     "group size probability NaN": ({"group_size_distribution": {"2": float("nan")}}, []),
     "social_circle_size infinite": ({"social_circle_size": float("inf")}, []),
     "n_weeks too large for memory": ({"n_weeks": 10**13}, []),
+    "utc_offset_minutes a float": ({"utc_offset_minutes": 90.7}, []),
+    "utc_offset_minutes a bool": ({"utc_offset_minutes": True}, []),
+    "utc_offset_minutes far beyond 14:00": ({"utc_offset_minutes": 10**9}, []),
+    "utc_offset_minutes just beyond -14:00": ({"utc_offset_minutes": -841}, []),
 }
 
 
@@ -174,6 +178,23 @@ def test_a_bad_generator_input_is_one_error_line(tmp_path, case):
     assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1
     assert not (tmp_path / "out" / "cdr.csv").exists()
     assert not (tmp_path / "out" / "truth.csv").exists()
+
+
+def test_generate_ends_when_every_user_attends(tmp_path):
+    # all ten users attend an event that forms social groups, so nobody is
+    # left to stay home: the generator places no stay-home ties instead of
+    # searching for an outsider forever (run in a new process, so that a
+    # regression fails on the timeout instead of hanging the suite)
+    config = write_config(tmp_path, {
+        "seed": 1, "n_users": 10, "client_fraction": 1.0, "n_antennas": 1, "n_weeks": 2,
+        "baseline_mean": 0.1,
+        "events": [{"antenna": 0, "week": 0, "dow": 0, "start_hour": 10, "end_hour": 12,
+                    "n_attendees": 10, "social_fraction": 1.0}],
+    })
+    proc = run_cli("-m", "cdrevents.cli", "generate", str(config), "--out", "out",
+                   cwd=tmp_path, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "truth.csv").read_text().splitlines()[1] == "A000,0,0,10,12,8,10"
 
 
 # --- detect --------------------------------------------------------------------
@@ -572,11 +593,12 @@ def tiny_corpus(directory):
     return directory / "cdr.csv", directory / "clients.txt"
 
 
-def run_cli(*args, cwd):
+def run_cli(*args, cwd, timeout=None):
     """``python -m cdrevents.cli`` in a new process, on this source tree."""
     env = dict(os.environ, PYTHONPATH=str(Path(cdrevents.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd,
+        timeout=timeout,
     )
 
 

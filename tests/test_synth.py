@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from cdrevents.model import CallTable, Direction
 from cdrevents.social import EventWindow, attenders, induce_subgraph
 from cdrevents.model import build_contact_graph
+from cdrevents import synth
 from cdrevents.synth import (
     ConfigError,
     PlantedEvent,
@@ -17,7 +19,7 @@ from cdrevents.synth import (
     generate,
     write_truth_file,
 )
-from helpers import compact_social_scenario
+from helpers import compact_social_scenario, detection_scenario, social_scenario
 
 
 def small_config(**overrides):
@@ -101,6 +103,65 @@ def test_different_seed_different_output():
     a = generate(small_config(seed=1))
     b = generate(small_config(seed=2))
     assert a.records != b.records
+
+
+def columns(table):
+    return (table.timestamp, table.located, table.other, table.outgoing, table.antenna)
+
+
+def assert_same_table(a, b):
+    assert (a.users, a.antennas) == (b.users, b.antennas)
+    for x, y in zip(columns(a), columns(b)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("n", [2, 3, 20_000, 100_003])
+@pytest.mark.parametrize("exponent", [0.5, 3.0])
+def test_weighted_draw_is_numpy_choice(n, exponent):
+    weights = (np.random.default_rng(n).permutation(n) + 10.0) ** -exponent
+    p = weights / weights.sum()
+    draw = synth._WeightedDraw(p)
+    for size in (0, 1, 7, 100_000):
+        ours, numpy_ = np.random.default_rng(size), np.random.default_rng(size)
+        got, expected = draw(ours, size), numpy_.choice(n, size, p=p)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        # the Generator is left in the same state
+        assert np.array_equal(ours.integers(0, 2**62, 3), numpy_.integers(0, 2**62, 3))
+
+
+@pytest.mark.parametrize("config", [
+    detection_scenario(0, baseline_mean=5.0),
+    social_scenario(1),
+    small_config(popularity_exponent=0.0, events=(one_event(),)),
+], ids=["detection", "social", "uniform"])
+def test_generate_draws_as_numpy_choice_would(config, monkeypatch):
+    fast = generate(config).records
+    monkeypatch.setattr(
+        synth._WeightedDraw, "__call__",
+        lambda self, rng, size: rng.choice(len(self.p), size, p=self.p),
+    )
+    assert_same_table(fast, generate(config).records)
+
+
+def test_generate_memory_is_the_table_plus_its_sort_order():
+    # each record is held once, in the table's dtypes (21 bytes a row), and
+    # the build adds the sort order and one column at a time: the traced
+    # peak stays within 3x the finished columns (measured 2.3x; 6.1x when
+    # each draw was held as five int64 columns)
+    config = small_config(
+        n_users=20_000, client_fraction=0.7, n_antennas=24, n_weeks=13,
+        baseline_profile=flat_profile(5.0), events=(one_event(antenna=3, n_attendees=100),),
+    )
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = generate(config).records
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(table) >= 250_000
+    total = sum(column.nbytes for column in columns(table))
+    assert peak <= 3 * total, (peak, total)
 
 
 # --- structural invariants --------------------------------------------------------
