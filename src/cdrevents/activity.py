@@ -120,27 +120,17 @@ class ActivityCube:
         return int(self.grid.sum())
 
 
-def aggregate(
-    records: Sequence[CallRecord],
-    calendar: DatasetCalendar,
-    extra_antennas: Iterable[str] = (),
-) -> ActivityCube:
+def aggregate(records: Sequence[CallRecord], calendar: DatasetCalendar) -> ActivityCube:
     """Count located records per (antenna, week, day-of-week, hour) slot.
 
-    Every record must fall inside the calendar; an out-of-range timestamp
-    raises CalendarRangeError since it indicates a misconfigured calendar.
-    ``extra_antennas`` adds antennas known to exist even if no record ever
-    used them (they stay all-zero and are later reported as silent).  A grid
-    too large to index raises MemoryError.
+    The cube's antennas are those of the records.  Every record must fall
+    inside the calendar; an out-of-range timestamp raises CalendarRangeError
+    since it indicates a misconfigured calendar.  A grid too large to index
+    raises MemoryError.
     """
     table = CallTable.from_records(records)
     used = np.flatnonzero(np.bincount(table.antenna, minlength=len(table.antennas)))
-    names = [table.antennas[code] for code in used.tolist()]
-    antennas = set(names).union(extra_antennas)
-    row_of = {a: i for i, a in enumerate(sorted(antennas))}
     n_hours = calendar.n_hours
-    first_cell_of_codes = np.zeros(len(table.antennas), dtype=np.int64)
-    first_cell_of_codes[used] = [row_of[name] * n_hours for name in names]
     # the calendar hour of each record, rewritten in place to its grid cell
     flat = calendar.hours(table.timestamp)
     out_of_range = (flat < 0) | (flat >= n_hours)
@@ -150,13 +140,16 @@ def aggregate(
             f"record timestamp {bad} outside calendar starting "
             f"{calendar.epoch_start} ({calendar.n_weeks} weeks)"
         )
-    cells = len(row_of) * n_hours
+    cells = len(used) * n_hours
     if cells > np.iinfo(np.intp).max // 8:  # beyond any address space
         raise MemoryError(f"an activity grid of {cells} cells cannot be allocated")
+    # codes follow string order, so the used codes, in order, are the grid's rows
+    first_cell_of_codes = np.zeros(len(table.antennas), dtype=np.int64)
+    first_cell_of_codes[used] = np.arange(len(used)) * n_hours
     flat += first_cell_of_codes[table.antenna]
     binned = np.bincount(flat, minlength=cells)
-    grid = binned.reshape(len(row_of), calendar.n_weeks, SLOTS_PER_WEEK)
-    return ActivityCube(grid, calendar, antennas)
+    grid = binned.reshape(len(used), calendar.n_weeks, SLOTS_PER_WEEK)
+    return ActivityCube(grid, calendar, [table.antennas[code] for code in used.tolist()])
 
 
 class EventIndexSeries:
@@ -214,12 +207,10 @@ def event_index(cube: ActivityCube) -> EventIndexSeries:
     """
     counts = cube.grid
     total = counts.sum(axis=1, keepdims=True)
-    index = np.divide(
-        counts * cube.calendar.n_weeks,
-        total,
-        out=np.full(counts.shape, np.nan),
-        where=total != 0,
-    )
+    # one float64 grid, divided in place; integers below 2**53 convert exactly
+    index = np.multiply(counts, cube.calendar.n_weeks, dtype=np.float64)
+    np.divide(index, total, out=index, where=total != 0)
+    np.copyto(index, np.nan, where=total == 0)
     return EventIndexSeries(index, cube.calendar.n_weeks, sorted(cube.antennas))
 
 
@@ -236,17 +227,14 @@ def _rank(p: float, n: int) -> int:
     return max(-(-numerator * n // denominator), 1)
 
 
-def percentile_threshold(values: np.ndarray | Iterable[float | None], p: float) -> float:
+def percentile_threshold(values: np.ndarray, p: float) -> float:
     """Nearest-rank percentile: the ceil(p*N)-th smallest defined value.
 
-    ``values`` is a float array, NaN marking an undefined entry, or any
-    iterable, None marking one.  Undefined entries are excluded first; an
-    empty defined set raises SilentAntennaError.
+    ``values`` is a float array, NaN marking an undefined entry.  Undefined
+    entries are excluded first; an empty defined set raises
+    SilentAntennaError.
     """
-    if isinstance(values, np.ndarray):
-        defined = values[~np.isnan(values)]
-    else:
-        defined = np.fromiter((v for v in values if v is not None), float)
+    defined = values[~np.isnan(values)]
     k = _rank(p, defined.size) - 1
     if not defined.size:
         raise SilentAntennaError("no defined values to take a percentile of")

@@ -159,8 +159,7 @@ def _calendar_for(records, args):
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    lo, hi = calendar.start_epoch_seconds, calendar.end_epoch_seconds
-    in_range = records[(records.timestamp >= lo) & (records.timestamp < hi)]
+    in_range = records[calendar.contains(records.timestamp)]
     dropped = len(records) - len(in_range)
     if dropped:
         print(

@@ -86,37 +86,18 @@ def contact_counts(graph: ContactGraph, attendees: Iterable[str]) -> dict[str, i
     return dict(counts)
 
 
-def _tally(
-    graph: ContactGraph,
-    attendees: Iterable[str],
-    population: Iterable[str] | None,
-) -> tuple[Counter[int], Counter[int]]:
+def attendance_probability(graph: ContactGraph, attendees: Iterable[str]) -> AttendanceTable:
+    """Probability of attending given exactly k attending contacts: row k's
+    denominator is every graph user, client or not, with k of them."""
     attendee_set = set(attendees)
     if not attendee_set:
         raise ValueError("attendee set is empty")
-    allowed = None if population is None else set(population)
     numerators: Counter[int] = Counter()
     denominators: Counter[int] = Counter()
     for user, k in contact_counts(graph, attendee_set).items():
-        if allowed is not None and user not in allowed:
-            continue
         denominators[k] += 1
         if user in attendee_set:
             numerators[k] += 1
-    return numerators, denominators
-
-
-def attendance_probability(
-    graph: ContactGraph,
-    attendees: Iterable[str],
-    population: Iterable[str] | None = None,
-) -> AttendanceTable:
-    """Probability of attending given exactly k attending contacts.
-
-    The denominator population defaults to every graph user, clients or not;
-    pass ``population`` (e.g. the client roster) to restrict it.
-    """
-    numerators, denominators = _tally(graph, attendees, population)
     rows = {
         k: AttendanceRow(k, numerators.get(k, 0), denominators[k])
         for k in sorted(denominators)
@@ -125,16 +106,14 @@ def attendance_probability(
 
 
 def cumulative_attendance_probability(
-    graph: ContactGraph,
-    attendees: Iterable[str],
-    population: Iterable[str] | None = None,
+    graph: ContactGraph, attendees: Iterable[str]
 ) -> dict[int, AttendanceRow]:
     """Probability of attending given at least K attending contacts.
 
     The population is re-taken for every K: row K counts all users with
     k >= K, so rows equal the suffix sums of the exact-k table.
     """
-    return attendance_probability(graph, attendees, population).cumulative()
+    return attendance_probability(graph, attendees).cumulative()
 
 
 def linear_fit(points: Sequence[tuple[float, float]]) -> LinearFit:

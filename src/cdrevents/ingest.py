@@ -1,13 +1,13 @@
 """Strict parsing and writing of the delimited CDR and client-roster files.
 
-Both formats are UTF-8 text.  CDR files carry a fixed header and one located
-call leg per line; rosters carry one user identifier per line.  Malformed CDR
-lines are rejected individually and reported, never silently dropped.
+Both formats are UTF-8 text, read from and written to byte streams.  CDR
+files carry a fixed header and one located call leg per line; rosters carry
+one user identifier per line.  Malformed CDR lines are rejected individually
+and reported, never silently dropped.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -36,9 +36,6 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 _FIXED_WIDTH_DIGITS = 18
 # the str.splitlines line breaks other than "\n", as UTF-8, the six ASCII ones first
 _OTHER_BREAKS = tuple(c.encode() for c in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
-# bytes reaching a decode are valid UTF-8, or were encoded from a str that
-# may hold lone surrogates
-_SURROGATES = "surrogatepass"
 
 # why a line is rejected, in the order the checks apply
 _FIELDS, _DIRECTION, _TIMESTAMP, _SELF_CALL, _EMPTY = range(1, 6)
@@ -61,21 +58,15 @@ class IngestReport:
     first_errors: list[tuple[int, str]] = field(default_factory=list)
 
 
-def _read_text(stream: IO) -> str:
+def _read_text(stream: IO[bytes]) -> str:
     try:
         data = stream.read()
     except OSError as exc:
         raise IngestError(f"unreadable stream: {exc}") from exc
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IngestError(f"stream is not valid UTF-8: {exc}") from exc
-    return data
-
-
-def _decode(data: bytes) -> str:
-    return data.decode("utf-8", _SURROGATES)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"stream is not valid UTF-8: {exc}") from exc
 
 
 def _utf8_error(exc: UnicodeDecodeError, offset: int) -> IngestError:
@@ -91,7 +82,7 @@ def _utf8_error(exc: UnicodeDecodeError, offset: int) -> IngestError:
     )
 
 
-def _blocks(stream: IO) -> Iterator[bytes]:
+def _blocks(stream: IO[bytes]) -> Iterator[bytes]:
     """The stream as UTF-8 bytes, in blocks of whole lines with every line
     break rewritten to "\n", each followed by ``_PAD``.  A block ends after
     the last "\n" of a read of ``_BLOCK_BYTES``, so a longer line is read
@@ -105,9 +96,6 @@ def _blocks(stream: IO) -> Iterator[bytes]:
             piece = stream.read(_BLOCK_BYTES)
         except OSError as exc:
             raise IngestError(f"unreadable stream: {exc}") from exc
-        from_text = isinstance(piece, str)
-        if from_text:
-            piece = piece.encode("utf-8", _SURROGATES)
         at_end = not piece
         cut = piece.rfind(b"\n") + 1
         if not (cut or at_end):
@@ -119,7 +107,7 @@ def _blocks(stream: IO) -> Iterator[bytes]:
         if not data:
             continue
         is_ascii = data.isascii()
-        if not (from_text or is_ascii):
+        if not is_ascii:
             try:
                 data.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -127,7 +115,7 @@ def _blocks(stream: IO) -> Iterator[bytes]:
         offset += len(data)
         breaks = _OTHER_BREAKS[:6] if is_ascii else _OTHER_BREAKS
         if any(brk in data for brk in breaks):
-            data = ("\n".join(_decode(data).splitlines()) + "\n").encode("utf-8", _SURROGATES)
+            data = ("\n".join(data.decode().splitlines()) + "\n").encode()
         data += _PAD
         yield data
 
@@ -251,7 +239,7 @@ def _gather_values(
     spans = lens.astype(np.int64) + 1
     joined = _spans(buf, starts, spans)
     joined[np.cumsum(spans) - 1] = ord("\n")
-    return tuple(_decode(joined.tobytes()).split("\n")[:-1])
+    return tuple(joined.tobytes().decode().split("\n")[:-1])
 
 
 def _reason(code: int, line: str) -> str:
@@ -380,13 +368,13 @@ def _parse_lines(
     report.accepted += int(keep.sum())
     report.rejected += len(rejected)
     for i in rejected[: MAX_REPORTED_ERRORS - len(report.first_errors)].tolist():
-        line = _decode(data[starts[i] : ends[i]])
+        line = data[starts[i] : ends[i]].decode()
         report.first_errors.append((line_no + i, _reason(int(reason[i]), line)))
     return timestamp[keep], outgoing[keep], len(starts)
 
 
-def parse_cdr_file(stream: IO, *, users: bool = True) -> tuple[CallTable, IngestReport]:
-    """Parse a CDR stream into a call table plus a validation report.
+def parse_cdr_file(stream: IO[bytes], *, users: bool = True) -> tuple[CallTable, IngestReport]:
+    """Parse a CDR byte stream into a call table plus a validation report.
 
     Accepts every line break ``str.splitlines`` knows, CRLF included.  Every
     line after the header either yields one record or one rejection entry,
@@ -414,7 +402,7 @@ def parse_cdr_file(stream: IO, *, users: bool = True) -> tuple[CallTable, Ingest
     if header != CDR_HEADER.encode():
         for _ in blocks:  # an invalid byte later in the stream is reported first
             pass
-        raise IngestError(f"bad CDR header: {_decode(header)!r}")
+        raise IngestError(f"bad CDR header: {header.decode()!r}")
     report = IngestReport()
     user_vocabulary, antennas = _Vocabulary(2) if users else None, _Vocabulary(1)
     timestamp, outgoing = [], []
@@ -437,12 +425,6 @@ def parse_cdr_file(stream: IO, *, users: bool = True) -> tuple[CallTable, Ingest
     return table, report
 
 
-def _is_binary(stream: IO) -> bool:
-    return isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(
-        stream, "mode", ""
-    )
-
-
 def _unwritable(values: Sequence[str]) -> np.ndarray:
     """Which identifiers hold a comma or a line break (anything
     ``str.splitlines`` breaks on), so that their line would not parse back."""
@@ -453,12 +435,10 @@ def _unwritable(values: Sequence[str]) -> np.ndarray:
     return np.array(["," in v or v.splitlines() not in ([v], []) for v in values], dtype=bool)
 
 
-def _packed(
-    values: Sequence[str], end: bytes, errors: str
-) -> tuple[bytes, np.ndarray, np.ndarray]:
+def _packed(values: Sequence[str], end: bytes) -> tuple[bytes, np.ndarray, np.ndarray]:
     """The values in UTF-8, each followed by ``end``, joined, with the start
     and the length of each value with its ``end``."""
-    encoded = [value.encode("utf-8", errors) + end for value in values]
+    encoded = [value.encode("utf-8") + end for value in values]
     lens = np.fromiter(map(len, encoded), np.int64, len(encoded))
     return b"".join(encoded), np.cumsum(lens) - lens, lens
 
@@ -481,8 +461,9 @@ def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return text, n_digits + negative + 1
 
 
-def write_cdr_file(records: Iterable[CallRecord], stream: IO) -> None:
-    """Write records in the CDR format; re-parsing yields the same sequence.
+def write_cdr_file(records: Iterable[CallRecord], stream: IO[bytes]) -> None:
+    """Write records in the CDR format to a byte stream; re-parsing yields
+    the same sequence.
 
     Records are converted to a table first (a table is taken as it is), so
     one column writer serves every input.  Raises ValueError before writing
@@ -507,16 +488,14 @@ def write_cdr_file(records: Iterable[CallRecord], stream: IO) -> None:
                 f"cannot write {table[int(bad.argmax())]!r}: an identifier holds a "
                 "comma or a line break"
             )
-    binary = _is_binary(stream)
-    errors = "strict" if binary else _SURROGATES
-    users, user_at, user_len = _packed(table.users, b",", errors)
-    antennas, antenna_at, antenna_len = _packed(table.antennas, b"\n", errors)
+    users, user_at, user_len = _packed(table.users, b",")
+    antennas, antenna_at, antenna_len = _packed(table.antennas, b"\n")
     # each field and the separator after it is a span of one buffer: the
     # identifiers, "out," and "in,", then the timestamps of the current rows
     fixed = users + antennas + b"out,in,"
     source = np.empty(len(fixed) + _TIMESTAMP_COLUMNS * _WRITE_ROWS, dtype=np.uint8)
     source[: len(fixed)] = np.frombuffer(fixed, dtype=np.uint8)
-    stream.write(CDR_HEADER.encode() + b"\n" if binary else CDR_HEADER + "\n")
+    stream.write(CDR_HEADER.encode() + b"\n")
     for start in range(0, len(table), _WRITE_ROWS):
         rows = slice(start, start + _WRITE_ROWS)
         text, text_len = _decimal(table.timestamp[rows])
@@ -539,12 +518,12 @@ def write_cdr_file(records: Iterable[CallRecord], stream: IO) -> None:
         lens = lens.ravel()
         for lo, hi in zip([0] + cuts, cuts + [len(text)]):
             if lo < hi:
-                data = _spans(source, at[5 * lo : 5 * hi], lens[5 * lo : 5 * hi]).tobytes()
-                stream.write(data if binary else _decode(data))
+                stream.write(_spans(source, at[5 * lo : 5 * hi], lens[5 * lo : 5 * hi]).tobytes())
 
 
-def load_client_set(stream: IO) -> set[str]:
-    """Read a roster (one identifier per line) into a deduplicated set.
+def load_client_set(stream: IO[bytes]) -> set[str]:
+    """Read a roster byte stream (one identifier per line) into a
+    deduplicated set.
 
     Blank lines are ignored; surrounding whitespace is stripped.
     """
@@ -556,7 +535,7 @@ def load_client_set(stream: IO) -> set[str]:
     return clients
 
 
-def write_client_roster(clients: Iterable[str], stream: IO) -> None:
-    """Write a roster, one identifier per line, sorted for stable output."""
-    text = "".join(user + "\n" for user in sorted(clients))
-    stream.write(text.encode("utf-8") if _is_binary(stream) else text)
+def write_client_roster(clients: Iterable[str], stream: IO[bytes]) -> None:
+    """Write a roster to a byte stream, one identifier per line, sorted for
+    stable output."""
+    stream.write("".join(user + "\n" for user in sorted(clients)).encode("utf-8"))

@@ -225,12 +225,13 @@ class CallTable(Sequence):
 
 class ContactGraph:
     """Simple undirected graph linking every pair of users that ever
-    communicated.  ``clients`` is accepted but not stored.
+    communicated.  ``clients`` is accepted but not stored.  Only the
+    adjacency is stored; ``edges`` is derived from it.
 
     Immutable after construction; safe to share across workers.
     """
 
-    __slots__ = ("_nodes", "_adj", "_edges")
+    __slots__ = ("_nodes", "_adj")
 
     def __init__(
         self,
@@ -240,18 +241,14 @@ class ContactGraph:
     ) -> None:
         node_set = frozenset(nodes)
         adj: dict[str, set[str]] = defaultdict(set)
-        edge_set: set[tuple[str, str]] = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop on {u!r}")
             if u not in node_set or v not in node_set:
                 raise ValueError(f"edge endpoint not in nodes: ({u!r}, {v!r})")
-            pair = (u, v) if u <= v else (v, u)
-            edge_set.add(pair)
-            adj[pair[0]].add(pair[1])
-            adj[pair[1]].add(pair[0])
+            adj[u].add(v)
+            adj[v].add(u)
         self._nodes = node_set
-        self._edges = frozenset(edge_set)
         self._adj = {u: frozenset(vs) for u, vs in adj.items()}
 
     @property
@@ -261,7 +258,7 @@ class ContactGraph:
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
         """Edges as canonical (lexicographically sorted) pairs."""
-        return self._edges
+        return frozenset((u, v) for u, vs in self._adj.items() for v in vs if u < v)
 
     @property
     def n_nodes(self) -> int:
@@ -269,14 +266,11 @@ class ContactGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._adj.values())) // 2
 
     def neighbors(self, user: str) -> frozenset[str]:
         """Contacts of ``user``; empty for unknown users."""
         return self._adj.get(user, frozenset())
-
-    def __contains__(self, user: str) -> bool:
-        return user in self._nodes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ContactGraph(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
@@ -352,8 +346,10 @@ class DatasetCalendar:
         hours //= SECONDS_PER_HOUR
         return hours
 
-    def contains(self, timestamp: int) -> bool:
-        return 0 <= self.hours(timestamp) < self.n_hours
+    def contains(self, timestamps):
+        """Whether an epoch timestamp, or each one in an int64 array, falls
+        inside the calendar's weeks."""
+        return (timestamps >= self.start_epoch_seconds) & (timestamps < self.end_epoch_seconds)
 
     def slot(self, timestamp: int) -> tuple[int, int, int]:
         """(week, day-of-week, hour) of an epoch timestamp.

@@ -34,13 +34,15 @@ and one column being joined and ordered at a time.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import json
+import numbers
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Mapping, Sequence
+from typing import IO, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import _is_binary, _joined
+from .ingest import _joined
 from .model import DAYS_PER_WEEK, HOURS_PER_DAY, MAX_UTC_OFFSET_MINUTES, SECONDS_PER_HOUR
 from .model import CallTable, DatasetCalendar
 
@@ -69,6 +71,12 @@ def _check_integers(obj: Any, *names: str) -> None:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_real(name: str, value: Any) -> None:
+    """Raise ConfigError unless ``value`` is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 def user_id(index: int) -> str:
     return f"u{index:06d}"
 
@@ -79,7 +87,7 @@ def antenna_id(index: int) -> str:
 
 def flat_profile(mean: float) -> tuple[tuple[float, ...], ...]:
     """A weekly profile with the same mean for every (day, hour) slot."""
-    return tuple(tuple(float(mean) for _ in range(HOURS_PER_DAY)) for _ in range(DAYS_PER_WEEK))
+    return tuple(tuple(mean for _ in range(HOURS_PER_DAY)) for _ in range(DAYS_PER_WEEK))
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,8 @@ class PlantedEvent:
 
     def __post_init__(self) -> None:
         _check_integers(self, "antenna", "week", "dow", "start_hour", "end_hour", "n_attendees")
+        for name in ("intensity_multiplier", "social_fraction"):
+            _check_real(name, getattr(self, name))
         if not (0 <= self.start_hour < self.end_hour <= 24):
             raise ConfigError(
                 f"event window [{self.start_hour}, {self.end_hour}) not within 0-24"
@@ -155,6 +165,8 @@ class SynthConfig:
             raise ConfigError("n_weeks must be at least 2 (the index needs a baseline)")
         if abs(self.utc_offset_minutes) > MAX_UTC_OFFSET_MINUTES:
             raise ConfigError(f"utc_offset_minutes {self.utc_offset_minutes} beyond ±14:00")
+        for name in ("client_fraction", "popularity_exponent", "social_circle_size"):
+            _check_real(name, getattr(self, name))
         if not 0.0 <= self.client_fraction <= 1.0:
             raise ConfigError(f"client_fraction {self.client_fraction} not in [0, 1]")
         try:
@@ -165,6 +177,8 @@ class SynthConfig:
             raise ConfigError(
                 f"baseline_profile must be {DAYS_PER_WEEK}x{HOURS_PER_DAY}, got {profile.shape}"
             )
+        for mean in itertools.chain.from_iterable(self.baseline_profile):
+            _check_real("a baseline_profile mean", mean)
         if not ((profile >= 0) & (profile <= _MAX_POISSON_MEAN)).all():
             raise ConfigError(f"baseline_profile means must be in [0, {_MAX_POISSON_MEAN:.6g}]")
         object.__setattr__(
@@ -176,6 +190,7 @@ class SynthConfig:
         for size, prob in dist.items():
             if not isinstance(size, int) or size < 1:
                 raise ConfigError(f"bad group size {size!r}")
+            _check_real(f"the probability of group size {size}", prob)
             if not prob >= 0:
                 raise ConfigError(f"bad probability {prob!r} for group size {size}")
         if not abs(sum(dist.values()) - 1.0) <= 1e-9:
@@ -538,16 +553,16 @@ def generate(config: SynthConfig) -> SynthResult:
 TRUTH_HEADER = "antenna,week,dow,start_hour,end_hour,multiplier,n_attendees"
 
 
-def write_truth_file(events: Sequence[PlantedEvent], stream) -> None:
-    """Write planted events with generated antenna identifiers."""
+def write_truth_file(events: Sequence[PlantedEvent], stream: IO[bytes]) -> None:
+    """Write planted events, with generated antenna identifiers, to a byte
+    stream."""
     lines = [TRUTH_HEADER]
     for ev in events:
         lines.append(
             f"{antenna_id(ev.antenna)},{ev.week},{ev.dow},{ev.start_hour},"
             f"{ev.end_hour},{ev.intensity_multiplier:.12g},{ev.n_attendees}"
         )
-    data = "\n".join(lines) + "\n"
-    stream.write(data.encode("utf-8") if _is_binary(stream) else data)
+    stream.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _known_keys(obj: Mapping[str, Any], cls: type, where: str, *extra: str) -> Mapping[str, Any]:
@@ -567,9 +582,7 @@ _FROM_JSON: dict[str, Callable[[Any], Any]] = {
         PlantedEvent(**_known_keys(obj, PlantedEvent, f"keys in events[{i}]"))
         for i, obj in enumerate(objs)
     ),
-    "group_size_distribution": lambda sizes: {int(k): float(p) for k, p in sizes.items()},
-    "popularity_exponent": float,
-    "social_circle_size": float,
+    "group_size_distribution": lambda sizes: {int(k): p for k, p in sizes.items()},
     "epoch_start": dt.date.fromisoformat,
 }
 

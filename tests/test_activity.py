@@ -18,7 +18,7 @@ from cdrevents.activity import (
     _rank,
     percentile_threshold,
 )
-from cdrevents.model import CalendarRangeError, DatasetCalendar
+from cdrevents.model import CalendarRangeError, CallTable, DatasetCalendar
 from helpers import OUT, detection_oracle, index_oracle, rec
 
 CAL = DatasetCalendar(dt.date(2012, 1, 2), n_weeks=3)
@@ -79,10 +79,19 @@ def test_int64_extreme_record_is_out_of_range(epoch_start, timestamp):
         aggregate([rec("A", "B", OUT, timestamp)], DatasetCalendar(epoch_start, 3))
 
 
-def test_extra_antennas_join_the_universe():
-    cube = aggregate([rec("A", "B", OUT, T0)], CAL, extra_antennas=["L9"])
-    assert cube.antennas == {"L1", "L9"}
-    assert cube.count("L9", 0, 0, 0) == 0
+def test_sub_table_aggregates_like_its_records():
+    # a sub-table keeps its parent's antenna vocabulary: with every row of
+    # the first, a middle and the last code masked away, the codes left in
+    # use are not 0..n-1, and each must still find its own grid row
+    records = [
+        rec("A", "B", OUT, local_ts(i % 21, i % 24), antenna=f"L{i % 5}") for i in range(200)
+    ]
+    table = CallTable.from_records(records)
+    sub = table[~np.isin(table.antenna, [0, 2, 4])]
+    got, expected = aggregate(sub, CAL), aggregate(list(sub), CAL)
+    assert got.antennas == expected.antennas == {"L1", "L3"}
+    assert dict(got.counts) == dict(expected.counts)
+    assert np.array_equal(got.grid, expected.grid)
 
 
 # --- event index -----------------------------------------------------------
@@ -142,8 +151,8 @@ def test_index_matches_exact_oracle_on_random_cube():
 
 
 def test_silent_antenna_listed():
-    cube = aggregate([rec("A", "B", OUT, T0)], CAL, extra_antennas=["L9"])
-    series = event_index(cube)
+    cube = aggregate([rec("A", "B", OUT, T0)], CAL)
+    series = event_index(ActivityCube(cube.counts, CAL, {"L1", "L9"}))
     assert series.silent_antennas() == ["L9"]
 
 
@@ -156,12 +165,8 @@ def nan_array(values):
 
 
 def threshold(values, p):
-    """percentile_threshold of ``values`` as an iterable with None, checked to
-    give the same answer as the float array with NaN."""
-    values = list(values)
-    got = percentile_threshold(values, p)
-    assert percentile_threshold(nan_array(values), p) == got
-    return got
+    """percentile_threshold of ``values``, None read as NaN."""
+    return percentile_threshold(nan_array(values), p)
 
 
 def test_nearest_rank_on_1_to_100():
@@ -211,17 +216,15 @@ def test_undefined_entries_excluded():
 
 
 def test_empty_defined_set_raises():
-    for form in (list, nan_array):
-        with pytest.raises(SilentAntennaError):
-            percentile_threshold(form([None, None]), 0.99)
+    with pytest.raises(SilentAntennaError):
+        threshold([None, None], 0.99)
 
 
 def test_percentile_bounds_validated():
-    for form in (list, nan_array):
-        with pytest.raises(ValueError):
-            percentile_threshold(form([1.0]), 0.0)
-        with pytest.raises(ValueError):
-            percentile_threshold(form([1.0]), 1.2)
+    with pytest.raises(ValueError):
+        threshold([1.0], 0.0)
+    with pytest.raises(ValueError):
+        threshold([1.0], 1.2)
 
 
 # --- detection -------------------------------------------------------------
@@ -387,9 +390,9 @@ def test_detection_matches_brute_force_oracle(case, p):
         for (a, w, d, h), c in counts.items()
         for i in range(c)
     ]
-    cube = aggregate(records, cal, extra_antennas=extra)
-    events = detect_events(event_index(cube), p)
     antennas = {key[0] for key in counts} | set(extra)
+    cube = ActivityCube(aggregate(records, cal).counts, cal, antennas)
+    events = detect_events(event_index(cube), p)
     exact = index_oracle(counts, antennas, n_weeks)
     expected = detection_oracle(exact, antennas, n_weeks, p)
     got = [(e.antenna, e.week, e.dow, e.start_hour, e.end_hour, e.peak_index)

@@ -128,7 +128,8 @@ TINY_EVENT = TINY_CONFIG["events"][0]
 DROP = object()  # a config change that removes its key
 
 
-# config changes and flags that each made the generator end in a traceback
+# config changes and flags that each made the generator end in a traceback, or
+# exit 0 on a config it should refuse
 BAD_GENERATOR_INPUTS = {
     "popularity_exponent not a number": ({"popularity_exponent": "abc"}, []),
     "epoch_start not a date": ({"epoch_start": "2012-13-01"}, []),
@@ -163,6 +164,14 @@ BAD_GENERATOR_INPUTS = {
     "utc_offset_minutes a bool": ({"utc_offset_minutes": True}, []),
     "utc_offset_minutes far beyond 14:00": ({"utc_offset_minutes": 10**9}, []),
     "utc_offset_minutes just beyond -14:00": ({"utc_offset_minutes": -841}, []),
+    "client_fraction a bool": ({"client_fraction": True}, []),
+    "popularity_exponent a bool": ({"popularity_exponent": True}, []),
+    "social_circle_size a bool": ({"social_circle_size": True}, []),
+    "baseline_mean a bool": ({"baseline_mean": True}, []),
+    "baseline_profile holding a bool": (
+        {"baseline_mean": DROP, "baseline_profile": [[1.0] * 23 + [True]] * 7}, []),
+    "group size probability a bool": ({"group_size_distribution": {"2": True}}, []),
+    "event social_fraction a bool": ({"events": [dict(TINY_EVENT, social_fraction=True)]}, []),
 }
 
 

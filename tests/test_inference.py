@@ -73,12 +73,6 @@ def test_empty_attendee_set_is_an_error():
         cumulative_attendance_probability(graph_of(("A", "B")), set())
 
 
-def test_population_filter_restricts_denominator():
-    path = graph_of(("A", "B"), ("B", "C"), ("C", "D"))
-    table = attendance_probability(path, {"B", "C"}, population={"A", "B", "C"})
-    assert table.rows[1].denominator == 3
-
-
 def test_cumulative_examples():
     pair = cumulative_attendance_probability(graph_of(("A", "B")), {"A", "B"})
     assert pair[1].p == 1.0

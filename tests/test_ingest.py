@@ -198,12 +198,6 @@ def test_cdr_round_trip(records):
     assert report.accepted == len(records)
 
 
-def test_write_accepts_text_streams_too():
-    out = io.StringIO()
-    write_cdr_file([rec("A", "B", OUT, 1)], out)
-    assert out.getvalue() == CDR_HEADER + "\nA,B,out,1,L1\n"
-
-
 # --- the columnar parser against the per-line reference ------------------------
 
 BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -249,32 +243,27 @@ def cdr_texts(draw):
     return text if draw(st.booleans()) else text[: -len(breaks[-1])]
 
 
-def read_with(parse, text: str | bytes, as_bytes: bool):
-    """A parse of a text (or of raw bytes), read from a byte or a text
+def read_with(parse, text: str | bytes):
+    """A parse of a text in UTF-8 (or of raw bytes), read from a byte
     stream, with an error as its message."""
-    if isinstance(text, bytes):
-        stream = io.BytesIO(text)
-    else:
-        stream = io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text)
+    stream = io.BytesIO(text if isinstance(text, bytes) else text.encode("utf-8"))
     try:
         return parse(stream)
     except IngestError as exc:
         return str(exc)
 
 
-def parse_columnar(
-    text: str | bytes, as_bytes: bool, block_bytes: int | None = None, users: bool = True
-):
+def parse_columnar(text: str | bytes, block_bytes: int | None = None, users: bool = True):
     """The columnar parse, reading ``block_bytes`` at a time if given."""
     with pytest.MonkeyPatch.context() as patch:
         if block_bytes is not None:
             patch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
-        return read_with(lambda stream: parse_cdr_file(stream, users=users), text, as_bytes)
+        return read_with(lambda stream: parse_cdr_file(stream, users=users), text)
 
 
-def parse_both(text: str | bytes, as_bytes: bool, block_bytes: int | None = None):
+def parse_both(text: str | bytes, block_bytes: int | None = None):
     """The columnar and the reference parse of a text."""
-    return parse_columnar(text, as_bytes, block_bytes), read_with(reference_parse_cdr, text, as_bytes)
+    return parse_columnar(text, block_bytes), read_with(reference_parse_cdr, text)
 
 
 def assert_same_parse(got, expected):
@@ -317,20 +306,20 @@ def assert_same_without_users(lean, got):
         assert list(lean_table) == []
 
 
-def assert_same_parses(text: str | bytes, as_bytes: bool, block_bytes: int | None = None):
-    got, expected = parse_both(text, as_bytes, block_bytes)
+def assert_same_parses(text: str | bytes, block_bytes: int | None = None):
+    got, expected = parse_both(text, block_bytes)
     assert_same_parse(got, expected)
-    assert_same_without_users(parse_columnar(text, as_bytes, block_bytes, users=False), got)
+    assert_same_without_users(parse_columnar(text, block_bytes, users=False), got)
 
 
 @settings(max_examples=400, deadline=None)
-@given(cdr_texts(), st.booleans(), st.data())
-def test_columnar_parser_matches_the_per_line_reference(text, as_bytes, data):
+@given(cdr_texts(), st.data())
+def test_columnar_parser_matches_the_per_line_reference(text, data):
     # blocks from one byte up to past the text, or the default
     block_bytes = data.draw(
         st.none() | st.integers(1, len(text.encode("utf-8")) + 2), label="block_bytes"
     )
-    assert_same_parses(text, as_bytes, block_bytes)
+    assert_same_parses(text, block_bytes)
 
 
 _ODD_LINES = "\n".join([f"u{i},v{i},out,{i},A{i % 3}" if i % 2 else f"bad,{i}" for i in range(42)])
@@ -349,18 +338,17 @@ BAD_UTF8 = {
 
 
 @pytest.mark.parametrize("name", BLOCK_TEXTS)
-@pytest.mark.parametrize("as_bytes", [True, False])
-def test_every_block_size_parses_like_the_whole_text(name, as_bytes):
+def test_every_block_size_parses_like_the_whole_text(name):
     text = BLOCK_TEXTS[name]
     for block_bytes in range(1, len(text.encode("utf-8")) + 2):
-        assert_same_parses(text, as_bytes, block_bytes)
+        assert_same_parses(text, block_bytes)
 
 
 @pytest.mark.parametrize("name", BAD_UTF8)
 def test_invalid_utf8_is_named_at_its_position_in_the_stream(name):
     raw = BAD_UTF8[name]
     for block_bytes in range(1, len(raw) + 2):
-        got, expected = parse_both(raw, True, block_bytes)
+        got, expected = parse_both(raw, block_bytes)
         assert got == expected
         assert expected.startswith("stream is not valid UTF-8")
 
@@ -445,9 +433,9 @@ def self_call_pairs(widths):
 @pytest.mark.parametrize("widths", [(7,), (8,), (9,), (17,), (262_147,), (7, 8, 9, 17, 262_147)])
 def test_self_calls_are_found_by_their_bytes(widths):
     pairs, text = self_call_pairs(widths)
-    got, expected = parse_both(text, as_bytes=True)
+    got, expected = parse_both(text)
     assert_same_parse(got, expected)
-    assert_same_without_users(parse_columnar(text, True, users=False), got)
+    assert_same_without_users(parse_columnar(text, users=False), got)
     _, report = got
     self_calls = [i + 2 for i, (_, _, same) in enumerate(pairs) if same]
     assert [line for line, _ in report.first_errors] == self_calls
@@ -477,7 +465,7 @@ def test_a_few_long_identifiers_are_not_sorted_word_by_word(monkeypatch):
     ["", "\n", "\r\n", CDR_HEADER, CDR_HEADER + "\r", "x" + CDR_HEADER + "\n", "\ufeff" + CDR_HEADER],
 )
 def test_header_errors_match_the_reference(text):
-    got, expected = parse_both(text, as_bytes=True)
+    got, expected = parse_both(text)
     assert got == expected
 
 
@@ -492,7 +480,7 @@ def test_long_and_nul_identifiers_keep_their_own_codes(width, filler):
     lines = [f"{u},{v},out,{i},{v}" for i, (u, v) in enumerate(itertools.permutations(stems, 2))]
     lines += [f"a,b,in,{i},c" for i in range(filler)]
     text = CDR_HEADER + "\n" + "\n".join(lines) + "\n"
-    got, expected = parse_both(text, as_bytes=True)
+    got, expected = parse_both(text)
     table, report = got
     assert report.rejected == 0
     assert list(table) == expected[0]
@@ -527,8 +515,8 @@ def writer_records(draw):
     )
 
 
-def write_with(writer, records, as_bytes: bool):
-    stream = io.BytesIO() if as_bytes else io.StringIO()
+def write_with(writer, records):
+    stream = io.BytesIO()
     try:
         writer(records, stream)
     except ValueError as exc:
@@ -549,24 +537,22 @@ _MANY = [
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(writer_records(), max_size=30), st.lists(st.booleans()), st.booleans())
-@example([], [], True)
-@example([_bad_row(1), rec("a", "b", OUT, 1)], [], True)
-@example([rec("a", "b", OUT, 1), _bad_row(2), rec("a", "b", OUT, 1)], [], False)
-@example([rec("a", "b", OUT, 1), _bad_row(3)], [], True)
-@example([_bad_row(1), rec("a", "b", OUT, -10), _bad_row(2)], [False, True, False], False)
-@example(_MANY, [], True)
-@example(_MANY[:5000] + [_bad_row(5)], [], False)
-def test_column_writer_matches_the_per_record_reference(records, keep, as_bytes):
+@given(st.lists(writer_records(), max_size=30), st.lists(st.booleans()))
+@example([], [])
+@example([_bad_row(1), rec("a", "b", OUT, 1)], [])
+@example([rec("a", "b", OUT, 1), _bad_row(2), rec("a", "b", OUT, 1)], [])
+@example([rec("a", "b", OUT, 1), _bad_row(3)], [])
+@example([_bad_row(1), rec("a", "b", OUT, -10), _bad_row(2)], [False, True, False])
+@example(_MANY, [])
+@example(_MANY[:5000] + [_bad_row(5)], [])
+def test_column_writer_matches_the_per_record_reference(records, keep):
     # a record list and its table write the same bytes, or raise the same
     # error, as the reference; a sub-table keeps identifiers no row uses,
     # which are not rejected even when they cannot be written
-    expected = write_with(reference_write_cdr, records, as_bytes)
+    expected = write_with(reference_write_cdr, records)
     table = CallTable.from_records(records)
-    assert write_with(write_cdr_file, records, as_bytes) == expected
-    assert write_with(write_cdr_file, table, as_bytes) == expected
+    assert write_with(write_cdr_file, records) == expected
+    assert write_with(write_cdr_file, table) == expected
     mask = np.resize(np.array(keep or [True], dtype=bool), len(table))
     sub = table[mask]
-    assert write_with(write_cdr_file, sub, as_bytes) == write_with(
-        reference_write_cdr, list(sub), as_bytes
-    )
+    assert write_with(write_cdr_file, sub) == write_with(reference_write_cdr, list(sub))

@@ -186,6 +186,9 @@ def test_int64_extremes_fall_outside_the_calendar(epoch_start):
         assert not cal.contains(ts)
         with pytest.raises(CalendarRangeError):
             cal.slot(ts)
+    edges = (cal.start_epoch_seconds, cal.end_epoch_seconds - 1, cal.end_epoch_seconds)
+    stamps = np.array(INT64_EXTREMES + edges, dtype=np.int64)
+    assert cal.contains(stamps).tolist() == [False, False, True, True, False]
 
 
 def test_from_records_truncates_partial_trailing_week():

@@ -359,10 +359,10 @@ def test_config_json_rejects_unknown_and_missing_keys():
                           "baseline_profile": [[0.0] * 24] * 7})
 
 
-def test_truth_file_is_the_same_text_on_text_and_byte_streams():
+def test_truth_file_names_each_event_by_its_antenna_id():
     events = [PlantedEvent(1, 2, 3), PlantedEvent(0, 0, 6, 9, 13, 2.5, 40)]
-    text, binary = io.StringIO(), io.BytesIO()
-    write_truth_file(events, text)
-    write_truth_file(events, binary)
-    assert binary.getvalue().decode("utf-8") == text.getvalue()
-    assert text.getvalue().splitlines()[1].startswith(antenna_id(1) + ",2,3,")
+    stream = io.BytesIO()
+    write_truth_file(events, stream)
+    assert stream.getvalue().decode("utf-8").splitlines() == [
+        synth.TRUTH_HEADER, f"{antenna_id(1)},2,3,18,22,8,200", f"{antenna_id(0)},0,6,9,13,2.5,40",
+    ]
