@@ -79,6 +79,15 @@ def test_int64_extreme_record_is_out_of_range(epoch_start, timestamp):
         aggregate([rec("A", "B", OUT, timestamp)], DatasetCalendar(epoch_start, 3))
 
 
+def test_extra_antennas_join_the_universe():
+    # a cube built with an antenna that has no records lists it, at zero
+    cube = aggregate([rec("A", "B", OUT, T0)], CAL)
+    wider = ActivityCube(cube.counts, CAL, {"L1", "L9"})
+    assert wider.antennas == {"L1", "L9"}
+    assert wider.count("L9", 0, 0, 0) == 0
+    assert wider.count("L1", 0, 0, 0) == cube.count("L1", 0, 0, 0) == 1
+
+
 def test_sub_table_aggregates_like_its_records():
     # a sub-table keeps its parent's antenna vocabulary: with every row of
     # the first, a middle and the last code masked away, the codes left in

@@ -338,10 +338,17 @@ BAD_UTF8 = {
 
 
 @pytest.mark.parametrize("name", BLOCK_TEXTS)
-def test_every_block_size_parses_like_the_whole_text(name):
+@pytest.mark.parametrize("users", [True, False])
+def test_every_block_size_parses_like_the_whole_text(name, users):
+    # with users, the parse matches the reference; without, it matches the
+    # parse with users in every column it keeps
     text = BLOCK_TEXTS[name]
     for block_bytes in range(1, len(text.encode("utf-8")) + 2):
-        assert_same_parses(text, block_bytes)
+        got, expected = parse_both(text, block_bytes)
+        if users:
+            assert_same_parse(got, expected)
+        else:
+            assert_same_without_users(parse_columnar(text, block_bytes, users=False), got)
 
 
 @pytest.mark.parametrize("name", BAD_UTF8)
