@@ -112,13 +112,6 @@ class ActivityCube:
         self.counts = _GridView(counts, rows, calendar.n_weeks, sparse=True)
         self.grid = self.counts.grid
 
-    def count(self, antenna: str, week: int, dow: int, hour: int) -> int:
-        return self.counts.get((antenna, week, dow, hour), 0)
-
-    @property
-    def total(self) -> int:
-        return int(self.grid.sum())
-
 
 def aggregate(records: Sequence[CallRecord], calendar: DatasetCalendar) -> ActivityCube:
     """Count located records per (antenna, week, day-of-week, hour) slot.
@@ -175,11 +168,6 @@ class EventIndexSeries:
 
     def value(self, antenna: str, week: int, dow: int, hour: int) -> float | None:
         return self.values[(antenna, week, dow, hour)]
-
-    def defined_values(self, antenna: str) -> list[float]:
-        """All defined index values of one antenna over the whole period."""
-        row = self.values.row(antenna)
-        return row[~np.isnan(row)].tolist()
 
     def antenna_rows(self, antenna: str) -> Iterator[tuple[int, int, int, float | None]]:
         """(week, dow, hour, value) rows for one antenna, in calendar order."""

@@ -247,6 +247,8 @@ def cmd_detect(args) -> int:
 
 
 def _write_index_dump(out_dir: Path, series, antenna: str) -> None:
+    if "/" in antenna:
+        raise CliError(f"antenna {antenna!r} holds '/', so index_<antenna>.csv is no file name")
     if antenna not in series.antennas:
         raise CliError(f"unknown antenna {antenna!r}")
     lines = [INDEX_HEADER]

@@ -56,7 +56,7 @@ class AttendanceTable:
         exact-k rows, so a K without an exact row still gets one."""
         rows: dict[int, AttendanceRow] = {}
         num = den = 0
-        for k in range(max(self.rows), 0, -1):
+        for k in range(max(self.rows, default=0), 0, -1):
             if k in self.rows:
                 num += self.rows[k].numerator
                 den += self.rows[k].denominator

@@ -212,11 +212,6 @@ class CallTable(Sequence):
             f"{len(self.antennas)} antennas)"
         )
 
-    def antenna_code(self, antenna: str) -> int | None:
-        """Code of ``antenna`` in the vocabulary, None if it is absent."""
-        codes = _vocabulary_codes(self.antennas, [antenna])
-        return int(codes[0]) if codes.size else None
-
     def touching(self, users: Iterable[str]) -> "CallTable":
         """Sub-table of the records with one of ``users`` on either side."""
         codes = _vocabulary_codes(self.users, users)
@@ -351,35 +346,12 @@ class DatasetCalendar:
         inside the calendar's weeks."""
         return (timestamps >= self.start_epoch_seconds) & (timestamps < self.end_epoch_seconds)
 
-    def slot(self, timestamp: int) -> tuple[int, int, int]:
-        """(week, day-of-week, hour) of an epoch timestamp.
-
-        Raises CalendarRangeError outside the configured weeks.
-        """
-        hours = self.hours(timestamp)
-        if not 0 <= hours < self.n_hours:
-            raise CalendarRangeError(
-                f"timestamp {timestamp} outside calendar starting {self.epoch_start} "
-                f"({self.n_weeks} weeks)"
-            )
-        week, hour_of_week = divmod(hours, HOURS_PER_WEEK)
-        dow, hour = divmod(hour_of_week, HOURS_PER_DAY)
-        return int(week), int(dow), int(hour)
-
     def slot_of_date(self, day: dt.date) -> tuple[int, int]:
         """(week, day-of-week) of a local calendar date."""
         days = day.toordinal() - self.epoch_start.toordinal()
         if not 0 <= days < self.n_weeks * DAYS_PER_WEEK:
             raise CalendarRangeError(f"date {day} outside calendar")
         return days // DAYS_PER_WEEK, days % DAYS_PER_WEEK
-
-    def date_of(self, week: int, dow: int) -> dt.date:
-        """Local calendar date of (week, day-of-week)."""
-        if not (0 <= week < self.n_weeks and 0 <= dow < DAYS_PER_WEEK):
-            raise CalendarRangeError(f"(week={week}, dow={dow}) outside calendar")
-        return dt.date.fromordinal(
-            self.epoch_start.toordinal() + week * DAYS_PER_WEEK + dow
-        )
 
     def window_interval(
         self, week: int, dow: int, start_hour: int, end_hour: int
@@ -388,7 +360,8 @@ class DatasetCalendar:
         the given day."""
         if not (0 <= start_hour < end_hour <= 24):
             raise ValueError(f"bad hour window [{start_hour}, {end_hour})")
-        self.date_of(week, dow)  # range check
+        if not (0 <= week < self.n_weeks and 0 <= dow < DAYS_PER_WEEK):
+            raise CalendarRangeError(f"(week={week}, dow={dow}) outside calendar")
         day = week * HOURS_PER_WEEK + dow * HOURS_PER_DAY
         return (
             self.start_epoch_seconds + (day + start_hour) * SECONDS_PER_HOUR,
@@ -414,8 +387,12 @@ class DatasetCalendar:
         if not stamps.size:
             raise ValueError("cannot derive a calendar from an empty corpus")
         if epoch_start is None:
-            first = cls(_UNIX_EPOCH, 1, utc_offset_minutes).hours(int(stamps.min()))
-            epoch_start = dt.date.fromordinal(_UNIX_EPOCH.toordinal() + first // HOURS_PER_DAY)
+            earliest = int(stamps.min())
+            first = cls(_UNIX_EPOCH, 1, utc_offset_minutes).hours(earliest)
+            ordinal = _UNIX_EPOCH.toordinal() + first // HOURS_PER_DAY
+            if not 1 <= ordinal <= dt.date.max.toordinal():
+                raise ValueError(f"earliest record timestamp {earliest} is outside the years 1-9999")
+            epoch_start = dt.date.fromordinal(ordinal)
         last = cls(epoch_start, 1, utc_offset_minutes).hours(int(stamps.max()))
         n_weeks = (last // HOURS_PER_DAY + 1) // DAYS_PER_WEEK
         if n_weeks < 1:

@@ -53,11 +53,10 @@ def attenders(
     t_lo, t_hi = calendar.window_interval(
         window.week, window.dow, window.start_hour, window.end_hour
     )
-    antenna = table.antenna_code(window.antenna)
-    if antenna is None:
+    if window.antenna not in table.antennas:
         return set()
     ts = table.timestamp
-    inside = (table.antenna == antenna) & (ts >= t_lo) & (ts < t_hi)
+    inside = (table.antenna == table.antennas.index(window.antenna)) & (ts >= t_lo) & (ts < t_hi)
     present = {table.users[code] for code in set(table.located[inside].tolist())}
     return present & set(clients)
 

@@ -245,9 +245,13 @@ class SynthResult:
 
 class _Columns:
     """Record accumulator that holds each record once, in the dtype of the
-    finished table, and builds the time-sorted table one column at a time."""
+    finished table, and builds the time-sorted table one column at a time.
+    ``popularity`` is the other-party draw of ``add_calls``."""
 
-    def __init__(self, users: list[str], antenna_names: list[str]) -> None:
+    def __init__(
+        self, users: list[str], antenna_names: list[str], popularity: _WeightedDraw | None
+    ) -> None:
+        self.popularity = popularity
         self.user_rank, self.users = _ranks(users)
         self.antenna_rank, self.antennas = _ranks(antenna_names)
         # the table's columns: timestamp, located, other, outgoing, antenna
@@ -265,6 +269,12 @@ class _Columns:
                    np.broadcast_to(self.antenna_rank[antenna], ts.shape))
         for part, column in zip(self.parts, columns):
             part.append(column)
+
+    def add_calls(self, rng: np.random.Generator, ts, antenna, located) -> None:
+        """Store a batch of calls by the ``located`` users, drawing from
+        ``rng`` their other parties and then their directions."""
+        other = _draw_other(rng, len(self.user_rank), located, self.popularity)
+        self.add(ts, antenna, located, other, rng.integers(0, 2, len(located)))
 
     def build(self) -> CallTable:
         """The rows sorted stably by timestamp; each column's parts are freed
@@ -412,7 +422,7 @@ def generate(config: SynthConfig) -> SynthResult:
 
     lam = np.asarray(config.baseline_profile, dtype=float)
     t0 = calendar.start_epoch_seconds
-    columns = _Columns(users, antenna_names)
+    columns = _Columns(users, antenna_names, popularity)
     can_call = config.n_users >= 2 and n_clients >= 1
 
     if can_call and lam.any():
@@ -428,13 +438,7 @@ def generate(config: SynthConfig) -> SynthResult:
                 0, SECONDS_PER_HOUR, total
             )
             located = client_idx[rng.integers(0, n_clients, total)]
-            columns.add(
-                ts,
-                antenna,
-                located,
-                _draw_other(rng, config.n_users, located, popularity),
-                rng.integers(0, 2, total),
-            )
+            columns.add_calls(rng, ts, antenna, located)
 
     event_rng = np.random.default_rng(event_seq)
     group_assignments: dict[int, list[frozenset[str]]] = {}
@@ -454,13 +458,7 @@ def generate(config: SynthConfig) -> SynthResult:
 
         # guaranteed presence: one in-window call per attendee
         ts_presence = window_start + event_rng.integers(0, window_seconds, ev.n_attendees)
-        columns.add(
-            ts_presence,
-            ev.antenna,
-            attendee_idx,
-            _draw_other(event_rng, config.n_users, attendee_idx, popularity),
-            event_rng.integers(0, 2, ev.n_attendees),
-        )
+        columns.add_calls(event_rng, ts_presence, ev.antenna, attendee_idx)
 
         # extra in-window volume so the slot mean hits multiplier x baseline
         for hour, extra_mean in enumerate(ev.extra_means(config.baseline_profile)):
@@ -468,14 +466,10 @@ def generate(config: SynthConfig) -> SynthResult:
             if n_extra == 0:
                 continue
             hour_start = window_start + hour * SECONDS_PER_HOUR
+            # located users, then timestamps: the order of the draws fixes the corpus
             located = attendee_idx[event_rng.integers(0, ev.n_attendees, n_extra)]
-            columns.add(
-                hour_start + event_rng.integers(0, SECONDS_PER_HOUR, n_extra),
-                ev.antenna,
-                located,
-                _draw_other(event_rng, config.n_users, located, popularity),
-                event_rng.integers(0, 2, n_extra),
-            )
+            ts_extra = hour_start + event_rng.integers(0, SECONDS_PER_HOUR, n_extra)
+            columns.add_calls(event_rng, ts_extra, ev.antenna, located)
 
         # social groups, wired into the contact graph off-window
         sizes = _draw_group_sizes(

@@ -640,6 +640,101 @@ def test_an_input_or_output_of_the_wrong_kind_is_one_error_line(tmp_path, case):
     assert existing.read_text() == "kept\n"
 
 
+
+def error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("command", ["detect", "report", "infer"])
+def test_a_timestamp_before_year_1_is_one_error_line(tmp_path, capsys, command):
+    cdr, roster = tiny_corpus(tmp_path / "in")
+    with open(cdr, "ab") as stream:
+        stream.write(b"u0,v0,out,-9223372036854775808,A0\n")
+    args = {
+        "detect": ["detect", str(cdr), str(roster)],
+        "report": ["report", str(cdr), "--antenna", "A0"],
+        "infer": ["infer", str(cdr), str(roster), "--antenna", "A0", "--date", "2012-01-03"],
+    }[command]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert error_lines(err) == [
+        "error: earliest record timestamp -9223372036854775808 is outside the years 1-9999"
+    ]
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "report"])
+def test_an_index_dump_never_writes_outside_out(tmp_path, capsys, command):
+    antenna = "x/../../escaped"
+    start = DatasetCalendar(dt.date(2012, 1, 2), 1, -180).start_epoch_seconds
+    cdr, roster = tmp_path / "cdr.csv", tmp_path / "clients.txt"
+    records = [
+        CallRecord("a", "b", Direction.OUTGOING, start + 3600 * h, antenna) for h in range(168)
+    ]
+    with open(cdr, "wb") as stream:
+        write_cdr_file(records, stream)
+    roster.write_text("a\n")
+    out = tmp_path / "deep" / "out"
+    args = {
+        "detect": ["detect", str(cdr), str(roster), "--dump-index", antenna],
+        "report": ["report", str(cdr), "--antenna", antenna],
+    }[command]
+    before = tree(tmp_path)
+    assert main([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(error_lines(err)) == 1 and "'/'" in error_lines(err)[0]
+    # nothing written at all: no events.csv, no index_x/, no escaped.csv
+    assert tree(tmp_path) == before
+
+
+@pytest.fixture(scope="module")
+def generated_tiny_corpus(tmp_path_factory):
+    cdr, roster, _ = generate_corpus(tmp_path_factory.mktemp("tiny"), TINY_CONFIG)
+    return cdr, roster
+
+
+def appending(line):
+    return lambda cdr, roster: cdr.write_bytes(cdr.read_bytes() + line)
+
+
+# one mutation of a generated corpus each.  A timestamp between about 10^11
+# and 10^14 s is left out: the derived calendar then spans so many weeks that
+# its activity grid takes gigabytes, yet can still be allocated
+HOSTILE_INPUTS = {
+    "int64 minimum": appending(b"u000001,u000002,out,-9223372036854775808,A000\n"),
+    "int64 maximum": appending(b"u000001,u000002,out,9223372036854775807,A000\n"),
+    "a second before year 1": appending(b"u000001,u000002,out,-62135596801,A000\n"),
+    "24-digit timestamp": appending(b"u000001,u000002,out,100000000000000000000000,A000\n"),
+    "invalid UTF-8": appending(b"u000001,\xc3\x28\xff,out,1326000000,A000\n"),
+    "cut line": appending(b"u000001,u000002,out\n"),
+    "CRLF breaks": lambda cdr, roster: cdr.write_bytes(cdr.read_bytes().replace(b"\n", b"\r\n")),
+    "empty roster": lambda cdr, roster: roster.write_bytes(b""),
+}
+TINY_DATE = event_date(week=TINY_EVENT["week"], dow=TINY_EVENT["dow"])
+
+
+@pytest.mark.parametrize("mutation", list(HOSTILE_INPUTS))
+@pytest.mark.parametrize("command", ["detect", "report", "infer"])
+def test_a_hostile_input_exits_0_or_1_without_a_traceback(
+    tmp_path, capsys, generated_tiny_corpus, command, mutation
+):
+    cdr, roster = tmp_path / "cdr.csv", tmp_path / "clients.txt"
+    for source, copy in zip(generated_tiny_corpus, (cdr, roster)):
+        copy.write_bytes(source.read_bytes())
+    HOSTILE_INPUTS[mutation](cdr, roster)
+    args = {
+        "detect": ["detect", str(cdr), str(roster)],
+        "report": ["report", str(cdr), "--antenna", "A001"],
+        "infer": ["infer", str(cdr), str(roster), "--antenna", "A001", "--date", TINY_DATE],
+    }[command]
+    status = main([*args, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert status in (0, 1)
+    assert "Traceback" not in err
+    if status == 1:
+        assert err.splitlines()[-1].startswith("error: ")
+
+
 # --- imports ---------------------------------------------------------------------
 
 # modules that only generate, subgraph and infer need

@@ -95,6 +95,16 @@ def test_cumulative_fills_k_without_exact_row():
     assert list(cumulative) == [1, 2, 3]
 
 
+def test_tables_match_the_oracle_when_no_attendee_has_a_contact():
+    # the one attendee has no edge, so no user has an attending contact
+    graph = ContactGraph(["a", "b", "c"], [("a", "b")])
+    exact, cumulative = attendance_oracle(graph.nodes, [("a", "b")], {"c"})
+    assert exact == cumulative == {}
+    table = attendance_probability(graph, {"c"})
+    assert table.rows == {} and table.cumulative() == {} and table.points() == []
+    assert cumulative_attendance_probability(graph, {"c"}) == {}
+
+
 def test_points_filter_by_denominator():
     star = graph_of(*[("C", f"L{i}") for i in range(4)])
     table = attendance_probability(star, {"C"})

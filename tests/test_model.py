@@ -23,6 +23,10 @@ def local_ts(day, hour=0, minute=0, second=0):
     return T0 + day * 86400 + hour * 3600 + minute * 60 + second
 
 
+def calendar_hour(week, dow, hour):
+    return week * 168 + dow * 24 + hour
+
+
 # --- records --------------------------------------------------------------
 
 
@@ -119,41 +123,44 @@ def test_edges_bounded_by_distinct_pairs(records):
 
 
 def test_slot_maps_day_boundaries():
-    assert CAL.slot(local_ts(0, 23, 59, 59)) == (0, 0, 23)
-    assert CAL.slot(local_ts(1, 0, 0, 0)) == (0, 1, 0)
+    assert CAL.hours(local_ts(0, 23, 59, 59)) == calendar_hour(0, 0, 23)
+    assert CAL.hours(local_ts(1, 0, 0, 0)) == calendar_hour(0, 1, 0)
     # week rollover
-    assert CAL.slot(local_ts(6, 23, 59, 59)) == (0, 6, 23)
-    assert CAL.slot(local_ts(7, 0, 0, 0)) == (1, 0, 0)
+    assert CAL.hours(local_ts(6, 23, 59, 59)) == calendar_hour(0, 6, 23)
+    assert CAL.hours(local_ts(7, 0, 0, 0)) == calendar_hour(1, 0, 0)
 
 
 def test_slot_rejects_out_of_range():
-    with pytest.raises(CalendarRangeError):
-        CAL.slot(T0 - 1)
-    with pytest.raises(CalendarRangeError):
-        CAL.slot(local_ts(21))  # first instant past week 2
+    assert not CAL.contains(T0 - 1) and CAL.hours(T0 - 1) == -1
+    # first instant past week 2
+    assert not CAL.contains(local_ts(21)) and CAL.hours(local_ts(21)) == CAL.n_hours
+    assert CAL.contains(T0) and CAL.contains(local_ts(21) - 1)
 
 
 def test_offset_shifts_slot():
     utc_midnight = dt.date(2012, 1, 2).toordinal() - dt.date(1970, 1, 1).toordinal()
     utc_midnight *= 86400
     # at UTC midnight, local (-03:00) time is still the previous day 21:00
-    with pytest.raises(CalendarRangeError):
-        CAL.slot(utc_midnight)
-    assert CAL.slot(utc_midnight + 3 * 3600) == (0, 0, 0)
+    assert not CAL.contains(utc_midnight) and CAL.hours(utc_midnight) == -3
+    assert CAL.contains(utc_midnight + 3 * 3600)
+    assert CAL.hours(utc_midnight + 3 * 3600) == calendar_hour(0, 0, 0)
 
 
 def test_date_round_trip():
     for week in range(CAL.n_weeks):
         for dow in range(7):
-            assert CAL.slot_of_date(CAL.date_of(week, dow)) == (week, dow)
+            day = CAL.epoch_start + dt.timedelta(days=7 * week + dow)
+            assert CAL.slot_of_date(day) == (week, dow)
+    with pytest.raises(CalendarRangeError, match=r"\(week=3, dow=0\) outside calendar"):
+        CAL.window_interval(CAL.n_weeks, 0, 18, 22)
     with pytest.raises(CalendarRangeError):
-        CAL.date_of(CAL.n_weeks, 0)
+        CAL.slot_of_date(CAL.epoch_start + dt.timedelta(days=7 * CAL.n_weeks))
 
 
 def test_window_interval_matches_slots():
     t_lo, t_hi = CAL.window_interval(1, 2, 18, 22)
-    assert CAL.slot(t_lo) == (1, 2, 18)
-    assert CAL.slot(t_hi - 1) == (1, 2, 21)
+    assert CAL.hours(t_lo) == calendar_hour(1, 2, 18)
+    assert CAL.hours(t_hi - 1) == calendar_hour(1, 2, 21)
     assert t_hi - t_lo == 4 * 3600
 
 
@@ -169,7 +176,7 @@ def test_hours_count_local_hours_from_week_zero(offset, epoch_start, seconds):
     days = (local.date() - epoch_start).days
     assert cal.hours(ts) == days * 24 + local.hour
     assert cal.hours(np.array([ts], dtype=np.int64)).tolist() == [cal.hours(ts)]
-    assert cal.slot(ts) == (days // 7, days % 7, local.hour)
+    assert cal.contains(ts)
 
 
 INT64_EXTREMES = (-(2**63), 2**63 - 1)
@@ -184,8 +191,7 @@ def test_int64_extremes_fall_outside_the_calendar(epoch_start):
     assert ((hours < 0) | (hours >= cal.n_hours)).all()
     for ts in INT64_EXTREMES:
         assert not cal.contains(ts)
-        with pytest.raises(CalendarRangeError):
-            cal.slot(ts)
+        assert not 0 <= cal.hours(ts) < cal.n_hours
     edges = (cal.start_epoch_seconds, cal.end_epoch_seconds - 1, cal.end_epoch_seconds)
     stamps = np.array(INT64_EXTREMES + edges, dtype=np.int64)
     assert cal.contains(stamps).tolist() == [False, False, True, True, False]
@@ -212,3 +218,21 @@ def test_from_records_honors_pinned_start():
     )
     assert cal.epoch_start == dt.date(2012, 1, 2)
     assert cal.n_weeks == 2
+
+
+YEAR_1_LOCAL = -62135596800 + 3 * 3600  # 0001-01-01 00:00 at -03:00
+
+
+@pytest.mark.parametrize(
+    "stamps", [[-(2**63), local_ts(0)], [YEAR_1_LOCAL - 1, YEAR_1_LOCAL], [2**63 - 1]]
+)
+def test_from_records_refuses_a_first_day_outside_the_years_1_to_9999(stamps):
+    records = [rec("A", "B", OUT, ts) for ts in stamps]
+    with pytest.raises(ValueError, match=f"earliest record timestamp {min(stamps)} is outside"):
+        DatasetCalendar.from_records(records, CAL.utc_offset_minutes)
+
+
+def test_from_records_starts_on_the_first_day_of_year_1():
+    records = [rec("A", "B", OUT, YEAR_1_LOCAL + d * 86400) for d in (0, 7)]
+    cal = DatasetCalendar.from_records(records, CAL.utc_offset_minutes)
+    assert cal.epoch_start == dt.date.min and cal.start_epoch_seconds == YEAR_1_LOCAL
