@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "model": (
         "CalendarRangeError", "CallRecord", "CallTable", "ContactGraph", "DatasetCalendar",
-        "Direction", "build_contact_graph",
+        "Direction", "HourlyCounts", "build_contact_graph",
     ),
     "social": (
         "EventWindow", "InducedSubgraph", "attenders", "component_size_histogram",

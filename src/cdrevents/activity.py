@@ -23,7 +23,10 @@ import numpy as np
 
 from .model import DAYS_PER_WEEK, HOURS_PER_DAY
 from .model import HOURS_PER_WEEK as SLOTS_PER_WEEK
-from .model import CalendarRangeError, CallRecord, CallTable, DatasetCalendar
+from .model import CalendarRangeError, CallRecord, CallTable, DatasetCalendar, HourlyCounts
+
+# rows of a record table binned at once
+_CHUNK_ROWS = 1 << 16
 
 # (antenna, week, day-of-week, hour)
 SlotKey = tuple[str, int, int, int]
@@ -113,36 +116,46 @@ class ActivityCube:
         self.grid = self.counts.grid
 
 
-def aggregate(records: Sequence[CallRecord], calendar: DatasetCalendar) -> ActivityCube:
-    """Count located records per (antenna, week, day-of-week, hour) slot.
+def aggregate(
+    records: Sequence[CallRecord] | HourlyCounts, calendar: DatasetCalendar
+) -> ActivityCube:
+    """Count located calls per (antenna, week, day-of-week, hour) slot.
 
-    The cube's antennas are those of the records.  Every record must fall
-    inside the calendar; an out-of-range timestamp raises CalendarRangeError
-    since it indicates a misconfigured calendar.  A grid too large to index
-    raises MemoryError.
+    ``records`` is a record sequence, whose records count one call each, or
+    ``HourlyCounts`` at the calendar's UTC offset.  The cube's antennas are
+    those of the calls.  Every call must fall inside the calendar; an
+    out-of-range one raises CalendarRangeError since it indicates a
+    misconfigured calendar.  A grid too large to index raises MemoryError.
     """
-    table = CallTable.from_records(records)
-    used = np.flatnonzero(np.bincount(table.antenna, minlength=len(table.antennas)))
-    n_hours = calendar.n_hours
-    # the calendar hour of each record, rewritten in place to its grid cell
-    flat = calendar.hours(table.timestamp)
-    out_of_range = (flat < 0) | (flat >= n_hours)
-    if out_of_range.any():
-        bad = int(table.timestamp[out_of_range][0])
-        raise CalendarRangeError(
-            f"record timestamp {bad} outside calendar starting "
-            f"{calendar.epoch_start} ({calendar.n_weeks} weeks)"
+    if isinstance(records, HourlyCounts):
+        corpus = records
+        cells = [(corpus.antenna, corpus.calendar_hours(calendar), corpus.count)]
+    else:
+        corpus = CallTable.from_records(records)
+        chunks = [slice(i, i + _CHUNK_ROWS) for i in range(0, len(corpus), _CHUNK_ROWS)]
+        cells = (
+            (corpus.antenna[rows], calendar.hours(corpus.timestamp[rows]), 1) for rows in chunks
         )
-    cells = len(used) * n_hours
-    if cells > np.iinfo(np.intp).max // 8:  # beyond any address space
-        raise MemoryError(f"an activity grid of {cells} cells cannot be allocated")
+    used = np.flatnonzero(np.bincount(corpus.antenna, minlength=len(corpus.antennas)))
+    n_hours = calendar.n_hours
+    n_cells = len(used) * n_hours
+    if n_cells > np.iinfo(np.intp).max // 8:  # beyond any address space
+        raise MemoryError(f"an activity grid of {n_cells} cells cannot be allocated")
     # codes follow string order, so the used codes, in order, are the grid's rows
-    first_cell_of_codes = np.zeros(len(table.antennas), dtype=np.int64)
+    first_cell_of_codes = np.zeros(len(corpus.antennas), dtype=np.int64)
     first_cell_of_codes[used] = np.arange(len(used)) * n_hours
-    flat += first_cell_of_codes[table.antenna]
-    binned = np.bincount(flat, minlength=cells)
-    grid = binned.reshape(len(used), calendar.n_weeks, SLOTS_PER_WEEK)
-    return ActivityCube(grid, calendar, [table.antennas[code] for code in used.tolist()])
+    grid = np.zeros(n_cells, dtype=np.int64)
+    for codes, hours, counts in cells:
+        out_of_range = (hours < 0) | (hours >= n_hours)
+        if out_of_range.any():
+            raise CalendarRangeError(
+                f"a call at calendar hour {int(hours[out_of_range][0])} is outside the calendar "
+                f"starting {calendar.epoch_start} ({calendar.n_weeks} weeks)"
+            )
+        hours += first_cell_of_codes[codes]
+        np.add.at(grid, hours, counts)
+    grid = grid.reshape(len(used), calendar.n_weeks, SLOTS_PER_WEEK)
+    return ActivityCube(grid, calendar, [corpus.antennas[code] for code in used.tolist()])
 
 
 class EventIndexSeries:

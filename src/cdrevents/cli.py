@@ -24,6 +24,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import IO, Iterator
 
+import numpy as np
+
 # synth, activity, social and inference are imported by the commands that
 # use them, so that each command loads only its own layers
 from .ingest import (
@@ -130,9 +132,10 @@ def parse_date(token: str) -> dt.date:
         ) from None
 
 
-def _load_corpus(cdr_path: Path, users: bool = True):
+def _load_corpus(cdr_path: Path, utc_offset_minutes: int | None = None):
+    """The corpus as a call table, or as its hourly counts at the offset."""
     with open(cdr_path, "rb") as stream:
-        records, report = parse_cdr_file(stream, users=users)
+        records, report = parse_cdr_file(stream, utc_offset_minutes=utc_offset_minutes)
     _print_rejections(cdr_path, report)
     return records
 
@@ -150,7 +153,8 @@ def _print_rejections(path: Path, report: IngestReport) -> None:
 
 
 def _calendar_for(records, args):
-    """Calendar derived from the corpus plus the records it covers."""
+    """Calendar derived from the corpus (a call table or its hourly counts)
+    plus the records it covers."""
     if not records:
         raise CliError("corpus is empty, nothing to analyze")
     try:
@@ -159,7 +163,7 @@ def _calendar_for(records, args):
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    in_range = records[calendar.contains(records.timestamp)]
+    in_range = records.within(calendar)
     dropped = len(records) - len(in_range)
     if dropped:
         print(
@@ -170,14 +174,18 @@ def _calendar_for(records, args):
     return calendar, in_range
 
 
-def _index_series(in_range, calendar):
-    """Event index of the in-calendar records."""
+def _index_series(args):
+    """The calendar derived from the CDR file, and the event index of the
+    calls inside it, read as hourly counts."""
     from . import activity
 
+    calendar, in_range = _calendar_for(_load_corpus(args.cdr, args.utc_offset), args)
+    n_antennas = np.count_nonzero(np.bincount(in_range.antenna))
     try:
-        return activity.event_index(activity.aggregate(in_range, calendar))
+        cube = activity.aggregate(in_range, calendar)
+        del in_range  # the index reads only the cube
+        return calendar, activity.event_index(cube)
     except MemoryError:
-        n_antennas = len(set(in_range.antenna.tolist()))
         raise CliError(
             f"the derived calendar of {calendar.n_weeks} weeks and {n_antennas} "
             "antennas gives an activity grid too large for memory"
@@ -222,10 +230,8 @@ def cmd_detect(args) -> int:
     _check_inputs(args.cdr, args.roster)
     if not 0 < args.percentile <= 1:
         raise CliError(f"--percentile must be in (0, 1], got {args.percentile}")
-    # the activity layer reads only timestamps and antennas, and no roster
-    records = _load_corpus(args.cdr, users=False)
-    calendar, in_range = _calendar_for(records, args)
-    series = _index_series(in_range, calendar)
+    # the activity layer reads only calls per antenna and hour, and no roster
+    calendar, series = _index_series(args)
     events = activity.detect_events(series, args.percentile)
 
     if args.dump_index is not None:
@@ -260,9 +266,7 @@ def _write_index_dump(out_dir: Path, series, antenna: str) -> None:
 
 def cmd_report(args) -> int:
     _check_inputs(args.cdr)
-    records = _load_corpus(args.cdr, users=False)
-    calendar, in_range = _calendar_for(records, args)
-    series = _index_series(in_range, calendar)
+    calendar, series = _index_series(args)
     _write_index_dump(args.out, series, args.antenna)
     print(f"wrote index series for {args.antenna} ({calendar.n_weeks} weeks)")
     return 0

@@ -13,7 +13,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import CallRecord, CallTable
+from .model import CallRecord, CallTable, HourlyCounts, local_hours
 
 CDR_HEADER = "located_user,other_party,direction,timestamp,antenna"
 MAX_REPORTED_ERRORS = 20
@@ -263,6 +263,14 @@ def _joined(pieces: list[np.ndarray]) -> np.ndarray:
     return joined
 
 
+def _remapped(entries: list[np.ndarray], pieces: list[np.ndarray]) -> np.ndarray:
+    """Code pieces, one per block, looked up in place among their block's
+    merged codes (see ``_Vocabulary.compact``), and joined."""
+    for block_entries, codes in zip(entries, pieces):
+        block_entries.take(codes, out=codes)
+    return _joined(pieces)
+
+
 class _Vocabulary:
     """Blocks' sorted distinct identifiers, kept as bytes until merged, and
     the code columns of each block's rows into them."""
@@ -280,24 +288,123 @@ class _Vocabulary:
         for column, block_codes in zip(self.columns, codes):
             column.append(block_codes)
 
-    def merge(self) -> tuple[list[np.ndarray], tuple[str, ...]]:
-        """The code columns in the merged vocabulary, and that vocabulary.
-
-        The blocks' identifiers are sorted as one set of fields.  Each
-        block's codes are then looked up, in place, among the merged codes
-        of its identifiers."""
+    def compact(self) -> list[np.ndarray]:
+        """Sort the identifiers of the blocks added so far as one set of
+        fields, which becomes the one block; returns, for each block, the
+        merged code of each of its identifiers."""
         blocks = np.cumsum([len(block) for block in self.lens[:-1]])
         lens = _joined(self.lens)
         data = _joined(self.data).tobytes() + _PAD
         starts = np.cumsum(lens) - lens
         merged, firsts = _encode(data, starts, lens)
-        values = _gather_values(np.frombuffer(data, dtype=np.uint8), starts[firsts], lens[firsts])
-        del data, starts, firsts
-        entries = np.split(merged, blocks)
-        for column in self.columns:
-            for block_entries, codes in zip(entries, column):
-                block_entries.take(codes, out=codes)
-        return [_joined(column) for column in self.columns], values
+        self.add(np.frombuffer(data, dtype=np.uint8), starts[firsts], lens[firsts])
+        return np.split(merged, blocks)
+
+    def merge(self) -> tuple[list[np.ndarray], tuple[str, ...]]:
+        """The code columns in the merged vocabulary, and that vocabulary."""
+        entries = self.compact()
+        return [_remapped(entries, column) for column in self.columns], self.values()
+
+    def values(self) -> tuple[str, ...]:
+        """The identifiers of a compacted vocabulary."""
+        [data], [lens] = self.data, self.lens
+        # each identifier is copied with the byte after it, which must exist
+        return _gather_values(np.append(data, np.uint8(0)), np.cumsum(lens) - lens, lens)
+
+
+def _fold(
+    codes: np.ndarray, hours: np.ndarray, counts: np.ndarray | int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (code, hour) pairs of some cells, ordered by code and
+    hour, each with the sum of its cells' ``counts`` (an int64 array, or 1
+    for every cell).  The pairs are binned when the codes times the hour
+    span are at most four times the cells, and sorted otherwise.  Each
+    input is dropped once read, so a caller that passes its only reference
+    frees it early."""
+    n = len(codes)
+    if not n:
+        return codes, hours, np.zeros(0, dtype=np.int64)
+    low = int(hours.min())
+    span = int(hours.max()) - low + 1
+    n_bins = (int(codes.max()) + 1) * span
+    if n_bins <= 4 * n:
+        key = codes.astype(np.int64)
+        key *= span
+        key += hours
+        key -= low
+        del codes, hours
+        binned = np.zeros(n_bins, dtype=np.int64)
+        np.add.at(binned, key, counts)
+        del key, counts
+        hours = np.flatnonzero(binned != 0)  # faster than on int64
+        counts = binned[hours]
+        del binned
+        codes = (hours // span).astype(np.int32)
+        hours %= span
+        hours += low
+        return codes, hours, counts
+    order = np.lexsort((hours, codes))
+    codes, hours, counts = codes[order], hours[order], np.broadcast_to(counts, n)[order]
+    del order
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    new[1:] |= hours[1:] != hours[:-1]
+    firsts = np.flatnonzero(new)
+    return codes[firsts], hours[firsts], np.add.reduceat(counts, firsts)
+
+
+class _Cells:
+    """Calls per (antenna, local hour) of the blocks parsed so far: the
+    antenna vocabulary, and each block's cells in codes into its own
+    identifiers.  The cells are merged again whenever their number doubles,
+    so that they stay near the number of distinct cells whatever the order
+    of the lines."""
+
+    def __init__(self, utc_offset_minutes: int) -> None:
+        self.utc_offset_minutes = utc_offset_minutes
+        self.antennas = _Vocabulary(0)
+        self.codes: list[np.ndarray] = []
+        self.hours: list[np.ndarray] = []
+        self.counts: list[np.ndarray] = []
+        self.n_held = self.n_merged = 0
+        self.extremes: list[int] = []  # of each block's timestamps
+
+    def add(
+        self, buf: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+        antenna: np.ndarray, timestamp: np.ndarray,
+    ) -> None:
+        """Add a block's distinct antennas, ``buf[starts : starts + lens]``
+        in sorted order, and the antenna codes and timestamps of its calls."""
+        if len(timestamp):
+            self.extremes += [int(timestamp.min()), int(timestamp.max())]
+        codes, hours, counts = _fold(antenna, local_hours(timestamp, self.utc_offset_minutes), 1)
+        self.antennas.add(buf, starts, lens)
+        self.codes.append(codes)
+        self.hours.append(hours)
+        self.counts.append(counts)
+        self.n_held += len(codes)
+        if self.n_held > 2 * self.n_merged:
+            self.merge()
+
+    def merge(self) -> None:
+        """Fold the cells of every block into the merged vocabulary."""
+        codes, hours, counts = _fold(
+            _remapped(self.antennas.compact(), self.codes), _joined(self.hours),
+            _joined(self.counts),
+        )
+        self.codes, self.hours, self.counts = [codes], [hours], [counts]
+        self.n_held = self.n_merged = len(codes)
+
+    def result(self) -> HourlyCounts:
+        """The hourly counts of every block added."""
+        if len(self.codes) > 1:
+            self.merge()
+        extremes = self.extremes
+        return HourlyCounts(
+            self.antennas.values(), self.codes[0], self.hours[0], self.counts[0],
+            self.utc_offset_minutes, min(extremes, default=None), max(extremes, default=None),
+        )
 
 
 def _parse_lines(
@@ -305,13 +412,13 @@ def _parse_lines(
     line_no: int,
     report: IngestReport,
     users: _Vocabulary | None,
-    antennas: _Vocabulary,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...], int]:
     """Parse a block of whole data lines followed by ``_PAD``, the first
-    line being line ``line_no`` of the stream, into ``report`` and the
-    vocabularies (users are not encoded when ``users`` is None); returns the
-    timestamp and outgoing columns of the accepted lines, and the number of
-    lines."""
+    line being line ``line_no`` of the stream, into ``report`` and the user
+    vocabulary (users are not encoded when ``users`` is None).  Returns the
+    timestamp, outgoing and antenna columns of the accepted lines, the
+    antenna codes being into the block's distinct antennas, those antennas
+    as ``(buf, starts, lens)`` in sorted order, and the number of lines."""
     buf = np.frombuffer(data, dtype=np.uint8)
     size = len(data) - len(_PAD)
     offset = np.int32 if size < 2**31 else np.int64
@@ -363,17 +470,19 @@ def _parse_lines(
         located, other = np.split(user_codes, 2)
         users.add(buf, user_at[user_firsts], user_lens[user_firsts], located[keep], other[keep])
     antenna, antenna_firsts = _encode(data, at[2], lens[2])
-    antennas.add(buf, at[2][antenna_firsts], lens[2][antenna_firsts], antenna[keep])
+    antennas = (buf, at[2][antenna_firsts], lens[2][antenna_firsts])
     rejected = np.flatnonzero(reason)
     report.accepted += int(keep.sum())
     report.rejected += len(rejected)
     for i in rejected[: MAX_REPORTED_ERRORS - len(report.first_errors)].tolist():
         line = data[starts[i] : ends[i]].decode()
         report.first_errors.append((line_no + i, _reason(int(reason[i]), line)))
-    return timestamp[keep], outgoing[keep], len(starts)
+    return timestamp[keep], outgoing[keep], antenna[keep], antennas, len(starts)
 
 
-def parse_cdr_file(stream: IO[bytes], *, users: bool = True) -> tuple[CallTable, IngestReport]:
+def parse_cdr_file(
+    stream: IO[bytes], *, utc_offset_minutes: int | None = None
+) -> tuple[CallTable | HourlyCounts, IngestReport]:
     """Parse a CDR byte stream into a call table plus a validation report.
 
     Accepts every line break ``str.splitlines`` knows, CRLF included.  Every
@@ -388,10 +497,11 @@ def parse_cdr_file(stream: IO[bytes], *, users: bool = True) -> tuple[CallTable,
     parsed into columns and its own vocabularies, which are merged at the
     end, so memory stays about the finished table plus one block.
 
-    With ``users=False`` the user fields are checked but not encoded: lines
-    are accepted and rejected as before, and the table's ``users`` is empty
-    (see ``CallTable.without_users``), so that a caller that reads only
-    timestamps and antennas builds no user dictionary.
+    Given ``utc_offset_minutes``, the records are counted instead: the
+    result is the corpus's ``HourlyCounts`` at that offset, lines are
+    accepted and rejected as before, user fields are checked but not
+    encoded, and each block is folded into cells as it is parsed, so memory
+    stays about the antennas times the hours plus one block.
     """
     blocks = _blocks(stream)
     data = next(blocks, _PAD)
@@ -404,23 +514,31 @@ def parse_cdr_file(stream: IO[bytes], *, users: bool = True) -> tuple[CallTable,
             pass
         raise IngestError(f"bad CDR header: {header.decode()!r}")
     report = IngestReport()
-    user_vocabulary, antennas = _Vocabulary(2) if users else None, _Vocabulary(1)
-    timestamp, outgoing = [], []
+    hourly = utc_offset_minutes is not None
+    cells = _Cells(utc_offset_minutes) if hourly else None
+    users, antennas = (None if hourly else _Vocabulary(2)), _Vocabulary(1)
+    timestamps, outgoings = [], []
     line_no = 2
     data = data[header_end + 1 :] if header_end >= 0 else _PAD
     while data is not None:
-        block_timestamp, block_outgoing, n_lines = _parse_lines(
-            data, line_no, report, user_vocabulary, antennas
+        timestamp, outgoing, antenna, block_antennas, n_lines = _parse_lines(
+            data, line_no, report, users
         )
-        timestamp.append(block_timestamp)
-        outgoing.append(block_outgoing)
+        if hourly:
+            cells.add(*block_antennas, antenna, timestamp)
+        else:
+            antennas.add(*block_antennas, antenna)
+            timestamps.append(timestamp)
+            outgoings.append(outgoing)
         line_no += n_lines
+        # the block's columns and identifiers go before the next block is read
+        del timestamp, outgoing, antenna, block_antennas
         data = next(blocks, None)
+    if hourly:
+        return cells.result(), report
     (antenna,), antenna_values = antennas.merge()
-    timestamp, outgoing = _joined(timestamp), _joined(outgoing)
-    if user_vocabulary is None:
-        return CallTable.without_users(timestamp, outgoing, antenna, antenna_values), report
-    (located, other), user_values = user_vocabulary.merge()
+    timestamp, outgoing = _joined(timestamps), _joined(outgoings)
+    (located, other), user_values = users.merge()
     table = CallTable(timestamp, located, other, outgoing, antenna, user_values, antenna_values)
     return table, report
 

@@ -10,7 +10,7 @@ import itertools
 import operator
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -25,6 +25,17 @@ HOURS_PER_WEEK = DAYS_PER_WEEK * HOURS_PER_DAY
 MAX_UTC_OFFSET_MINUTES = 14 * 60
 
 _UNIX_EPOCH = dt.date(1970, 1, 1)
+
+
+def local_hours(timestamps, utc_offset_minutes: int):
+    """Local hours since the Unix epoch, ``(t + offset) // 3600``, of an epoch
+    timestamp or of each one in an int64 array.  The offset is added to the
+    remainder of the division, so no int64 timestamp overflows."""
+    hours, seconds = divmod(timestamps, SECONDS_PER_HOUR)
+    seconds += utc_offset_minutes * 60
+    seconds //= SECONDS_PER_HOUR
+    hours += seconds
+    return hours
 
 
 class Direction(Enum):
@@ -99,9 +110,7 @@ class CallTable(Sequence):
 
     The table is a read-only ``Sequence[CallRecord]``: records are built on
     access, ``==`` compares it with any record sequence, and indexing with a
-    slice or a bool mask gives a sub-table.  A table made ``without_users``
-    has only its timestamps, directions and antennas, and reading a record
-    of it raises IndexError.
+    slice or a bool mask gives a sub-table.
     """
 
     timestamp: np.ndarray  # int64 epoch seconds
@@ -143,28 +152,12 @@ class CallTable(Sequence):
             tuple(antennas),
         )
 
-    @classmethod
-    def without_users(
-        cls, timestamp: np.ndarray, outgoing: np.ndarray, antenna: np.ndarray,
-        antennas: tuple[str, ...],
-    ) -> "CallTable":
-        """A table whose users were not read: ``users`` is empty and both user
-        columns are a broadcast zero, which holds no per-row memory and stays
-        one in sub-tables."""
-        no_users = np.broadcast_to(np.int32(0), timestamp.shape)
-        return cls(timestamp, no_users, no_users, outgoing, antenna, (), antennas)
-
-    def _check_records(self) -> None:
-        if len(self) and not self.users:
-            raise IndexError("a table read without users holds no records")
-
     def __len__(self) -> int:
         return len(self.timestamp)
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
             i = range(len(self))[key]
-            self._check_records()
             return CallRecord._make((
                 self.users[self.located[i]],
                 self.users[self.other[i]],
@@ -172,10 +165,6 @@ class CallTable(Sequence):
                 int(self.timestamp[i]),
                 self.antennas[self.antenna[i]],
             ))
-        if not self.users:
-            return CallTable.without_users(
-                self.timestamp[key], self.outgoing[key], self.antenna[key], self.antennas
-            )
         return CallTable(
             self.timestamp[key],
             self.located[key],
@@ -187,7 +176,6 @@ class CallTable(Sequence):
         )
 
     def __iter__(self) -> Iterator[CallRecord]:
-        self._check_records()
         users, antennas = self.users.__getitem__, self.antennas.__getitem__
         for start in range(0, len(self), _ITER_CHUNK):
             rows = slice(start, start + _ITER_CHUNK)
@@ -216,6 +204,58 @@ class CallTable(Sequence):
         """Sub-table of the records with one of ``users`` on either side."""
         codes = _vocabulary_codes(self.users, users)
         return self[np.isin(self.located, codes) | np.isin(self.other, codes)]
+
+    def within(self, calendar: "DatasetCalendar") -> "CallTable":
+        """Sub-table of the records inside the calendar's weeks."""
+        return self[calendar.contains(self.timestamp)]
+
+
+@dataclass(frozen=True, eq=False)
+class HourlyCounts:
+    """A corpus held as its calls per (antenna, local hour), all that event
+    detection reads of it.
+
+    Cell i holds ``count[i]`` calls at ``antennas[antenna[i]]`` in local hour
+    ``hour[i]`` since the Unix epoch (see ``local_hours``) at
+    ``utc_offset_minutes``.  Cells are distinct, non-zero and ordered by
+    antenna and hour; the vocabulary is sorted and may hold antennas no cell
+    uses.  The length is the number of calls.  ``earliest`` and ``latest``
+    are the extreme timestamps of the parsed calls, None when there are none;
+    a sub-corpus keeps its parent's, so for it they are bounds.  The columns
+    are read-only.
+    """
+
+    antennas: tuple[str, ...]
+    antenna: np.ndarray  # int32 codes into antennas
+    hour: np.ndarray  # int64 local hours since the Unix epoch
+    count: np.ndarray  # int64 calls, at least 1
+    utc_offset_minutes: int
+    earliest: int | None
+    latest: int | None
+
+    def __post_init__(self) -> None:
+        for column in (self.antenna, self.hour, self.count):
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return int(self.count.sum())
+
+    def calendar_hours(self, calendar: "DatasetCalendar") -> np.ndarray:
+        """The calendar hour of each cell (see ``DatasetCalendar.hours``)."""
+        if calendar.utc_offset_minutes != self.utc_offset_minutes:
+            raise ValueError(
+                f"hours counted at UTC offset {self.utc_offset_minutes} min cannot be placed "
+                f"in a calendar at {calendar.utc_offset_minutes} min"
+            )
+        return self.hour - calendar.first_local_hour
+
+    def within(self, calendar: "DatasetCalendar") -> "HourlyCounts":
+        """The cells inside the calendar's weeks."""
+        hours = self.calendar_hours(calendar)
+        inside = (hours >= 0) & (hours < calendar.n_hours)
+        return replace(
+            self, antenna=self.antenna[inside], hour=self.hour[inside], count=self.count[inside]
+        )
 
 
 class ContactGraph:
@@ -329,6 +369,11 @@ class DatasetCalendar:
         return (self.epoch_start - _UNIX_EPOCH).days * SECONDS_PER_DAY - self.utc_offset_minutes * 60
 
     @property
+    def first_local_hour(self) -> int:
+        """First hour of week 0, in local hours since the Unix epoch."""
+        return (self.epoch_start - _UNIX_EPOCH).days * HOURS_PER_DAY
+
+    @property
     def end_epoch_seconds(self) -> int:
         """First instant after the last week (exclusive bound)."""
         return self.start_epoch_seconds + self.n_hours * SECONDS_PER_HOUR
@@ -337,8 +382,8 @@ class DatasetCalendar:
         """Calendar hour ``week * 168 + dow * 24 + hour`` of an epoch timestamp
         or of each one in an int64 array: negative or at least ``n_hours``
         outside the calendar."""
-        hours = timestamps - self.start_epoch_seconds
-        hours //= SECONDS_PER_HOUR
+        hours = local_hours(timestamps, self.utc_offset_minutes)
+        hours -= self.first_local_hour
         return hours
 
     def contains(self, timestamps):
@@ -371,29 +416,35 @@ class DatasetCalendar:
     @classmethod
     def from_records(
         cls,
-        records: Sequence[CallRecord],
+        records: Sequence[CallRecord] | HourlyCounts,
         utc_offset_minutes: int = -180,
         epoch_start: dt.date | None = None,
     ) -> "DatasetCalendar":
-        """Derive a calendar from a corpus.
+        """Derive a calendar from a corpus, a record sequence or its
+        ``HourlyCounts``.
 
         Anchors week 0 at the earliest record's local date unless
         ``epoch_start`` is given, and truncates any trailing partial week so
         every (day-of-week, hour) slot is observed the same number of times.
         Records in the truncated tail fall outside the calendar; callers that
-        aggregate must filter them out first.
+        aggregate must filter them out first (``within``).
         """
-        stamps = CallTable.from_records(records).timestamp
-        if not stamps.size:
+        if isinstance(records, HourlyCounts):
+            earliest, latest = records.earliest, records.latest
+        else:
+            stamps = CallTable.from_records(records).timestamp
+            earliest, latest = (
+                (int(stamps.min()), int(stamps.max())) if stamps.size else (None, None)
+            )
+        if earliest is None:
             raise ValueError("cannot derive a calendar from an empty corpus")
         if epoch_start is None:
-            earliest = int(stamps.min())
-            first = cls(_UNIX_EPOCH, 1, utc_offset_minutes).hours(earliest)
+            first = local_hours(earliest, utc_offset_minutes)
             ordinal = _UNIX_EPOCH.toordinal() + first // HOURS_PER_DAY
             if not 1 <= ordinal <= dt.date.max.toordinal():
                 raise ValueError(f"earliest record timestamp {earliest} is outside the years 1-9999")
             epoch_start = dt.date.fromordinal(ordinal)
-        last = cls(epoch_start, 1, utc_offset_minutes).hours(int(stamps.max()))
+        last = cls(epoch_start, 1, utc_offset_minutes).hours(latest)
         n_weeks = (last // HOURS_PER_DAY + 1) // DAYS_PER_WEEK
         if n_weeks < 1:
             raise ValueError("corpus spans less than one whole week")

@@ -58,7 +58,7 @@ def attenders(
     ts = table.timestamp
     inside = (table.antenna == table.antennas.index(window.antenna)) & (ts >= t_lo) & (ts < t_hi)
     present = {table.users[code] for code in set(table.located[inside].tolist())}
-    return present & set(clients)
+    return present.intersection(clients)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import datetime as dt
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cdrevents
-from cdrevents import CallRecord, DatasetCalendar, Direction, write_cdr_file
+from cdrevents import CallRecord, DatasetCalendar, Direction, ingest, write_cdr_file
 from cdrevents.cli import build_parser, main, parse_utc_offset, parse_window
 
 SOCIAL_CONFIG = {
@@ -318,6 +319,30 @@ def test_report_dumps_index(tmp_path):
     values = [float(line.split(",")[3]) for line in lines[1:]]
     finite = [v for v in values if v == v]
     assert finite and abs(sum(finite) / len(finite) - 1.0) < 0.05
+
+
+def test_detect_and_report_read_shuffled_lines_like_sorted_ones(tmp_path, capsys, monkeypatch):
+    # blocks of 4 KiB of shuffled lines each span the whole calendar, so the
+    # parse folds them by sorting, not binning, and merges cells of one hour
+    # read in many blocks; a partial week at the end is dropped either way
+    cdr, roster, _ = generate_corpus(tmp_path, DETECT_CONFIG)
+    with open(cdr, "a") as stream:
+        stream.write(f"u000001,u000002,out,{1325473200 + 6 * 7 * 86400 + 5},A002\n")
+    header, *lines = cdr.read_text().splitlines()
+    random.Random(3).shuffle(lines)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([header, *lines]) + "\n")
+    monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4096)
+    capsys.readouterr()
+    outputs = []
+    for source in (cdr, shuffled):
+        out = tmp_path / source.stem
+        args = [str(source), "--out", str(out)]
+        assert main(["detect", *args, str(roster), "--dump-index", "A001"]) == 0
+        assert main(["report", *args, "--antenna", "A002"]) == 0
+        files = [(out / name).read_bytes() for name in ("events.csv", "index_A001.csv", "index_A002.csv")]
+        outputs.append((files, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
 
 
 # --- subgraph and infer -----------------------------------------------------------
@@ -763,7 +788,7 @@ def test_detect_and_report_import_only_their_own_layers(tmp_path, command):
 EXPORTS = """
     ActivityCube AttendanceRow AttendanceTable CalendarRangeError CallRecord CallTable
     ConfigError ContactGraph DatasetCalendar DetectedEvent Direction EventIndexSeries
-    EventWindow IngestError IngestReport InducedSubgraph LinearFit PlantedEvent
+    EventWindow HourlyCounts IngestError IngestReport InducedSubgraph LinearFit PlantedEvent
     SilentAntennaError SynthConfig SynthResult aggregate antenna_id
     attendance_probability attenders build_contact_graph component_size_histogram
     contact_counts cumulative_attendance_probability detect_events event_index

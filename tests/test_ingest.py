@@ -1,6 +1,9 @@
+import datetime as dt
 import io
 import itertools
+import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdrevents import ingest
+from cdrevents.activity import aggregate
 from cdrevents.ingest import (
     CDR_HEADER,
     IngestError,
@@ -16,8 +20,11 @@ from cdrevents.ingest import (
     write_cdr_file,
     write_client_roster,
 )
-from cdrevents.model import CallRecord, CallTable, Direction
+from cdrevents.model import CallRecord, CallTable, DatasetCalendar, Direction, HourlyCounts
 from helpers import IN, OUT, rec, reference_parse_cdr, reference_write_cdr
+
+
+OFFSET = -180  # minutes, the commands' default
 
 
 def parse_text(text: str):
@@ -253,12 +260,17 @@ def read_with(parse, text: str | bytes):
         return str(exc)
 
 
-def parse_columnar(text: str | bytes, block_bytes: int | None = None, users: bool = True):
-    """The columnar parse, reading ``block_bytes`` at a time if given."""
+def parse_columnar(
+    text: str | bytes, block_bytes: int | None = None, utc_offset_minutes: int | None = None
+):
+    """The columnar parse, reading ``block_bytes`` at a time if given, and
+    counting calls per hour at ``utc_offset_minutes`` if given."""
     with pytest.MonkeyPatch.context() as patch:
         if block_bytes is not None:
             patch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
-        return read_with(lambda stream: parse_cdr_file(stream, users=users), text)
+        return read_with(
+            lambda stream: parse_cdr_file(stream, utc_offset_minutes=utc_offset_minutes), text
+        )
 
 
 def parse_both(text: str | bytes, block_bytes: int | None = None):
@@ -279,37 +291,43 @@ def assert_same_parse(got, expected):
     assert list(table.antennas) == sorted(table.antennas)
 
 
-def assert_same_without_users(lean, got):
-    """A parse with ``users=False`` (``lean``) keeps everything of the full
-    parse ``got`` but the users: the same error, or the same report and
-    timestamp, direction and antenna columns, and no record can be read."""
+def hourly_counts_of(table: CallTable, utc_offset_minutes: int) -> HourlyCounts:
+    """The hourly counts of a table, binned with Python integers."""
+    stamps = table.timestamp.tolist()
+    hours = [(t + 60 * utc_offset_minutes) // 3600 for t in stamps]
+    cells = sorted(Counter(zip(table.antenna.tolist(), hours)).items())
+    return HourlyCounts(
+        table.antennas,
+        np.array([antenna for (antenna, _), _ in cells], dtype=np.int32),
+        np.array([hour for (_, hour), _ in cells], dtype=np.int64),
+        np.array([count for _, count in cells], dtype=np.int64),
+        utc_offset_minutes, min(stamps, default=None), max(stamps, default=None),
+    )
+
+
+def assert_same_hourly(hourly, got, utc_offset_minutes=OFFSET):
+    """A parse at ``utc_offset_minutes`` (``hourly``) gives the same error as
+    the full parse ``got``, or its report and the hourly counts of its table."""
     if isinstance(got, str):
-        assert lean == got
+        assert hourly == got
         return
-    (table, report), (lean_table, lean_report) = got, lean
-    assert isinstance(lean_table, CallTable)
-    assert lean_report == report
-    for column in ("timestamp", "outgoing", "antenna"):
-        assert np.array_equal(getattr(lean_table, column), getattr(table, column)), column
-    assert lean_table.antennas == table.antennas
-    assert lean_table.users == () and len(lean_table) == len(table)
-    # the user columns hold no memory per row, in the table and its sub-tables
-    for sub in (lean_table, lean_table[::2], lean_table[lean_table.outgoing]):
-        assert sub.located.strides == sub.other.strides == (0,)
-        assert len(sub.located) == len(sub.other) == len(sub)
-    if len(table):
-        with pytest.raises(IndexError, match="without users"):
-            lean_table[0]
-        with pytest.raises(IndexError, match="without users"):
-            list(lean_table)
-    else:
-        assert list(lean_table) == []
+    (table, report), (counts, hourly_report) = got, hourly
+    assert isinstance(counts, HourlyCounts)
+    assert hourly_report == report
+    expected = hourly_counts_of(table, utc_offset_minutes)
+    for column in ("antenna", "hour", "count"):
+        got_column, expected_column = getattr(counts, column), getattr(expected, column)
+        assert got_column.dtype == expected_column.dtype, column
+        assert np.array_equal(got_column, expected_column), column
+    for field in ("antennas", "utc_offset_minutes", "earliest", "latest"):
+        assert getattr(counts, field) == getattr(expected, field), field
+    assert len(counts) == len(table)
 
 
 def assert_same_parses(text: str | bytes, block_bytes: int | None = None):
     got, expected = parse_both(text, block_bytes)
     assert_same_parse(got, expected)
-    assert_same_without_users(parse_columnar(text, block_bytes, users=False), got)
+    assert_same_hourly(parse_columnar(text, block_bytes, OFFSET), got)
 
 
 @settings(max_examples=400, deadline=None)
@@ -340,15 +358,15 @@ BAD_UTF8 = {
 @pytest.mark.parametrize("name", BLOCK_TEXTS)
 @pytest.mark.parametrize("users", [True, False])
 def test_every_block_size_parses_like_the_whole_text(name, users):
-    # with users, the parse matches the reference; without, it matches the
-    # parse with users in every column it keeps
+    # with users, the parse matches the reference; without, the hourly
+    # parse counts the table of the full parse
     text = BLOCK_TEXTS[name]
     for block_bytes in range(1, len(text.encode("utf-8")) + 2):
         got, expected = parse_both(text, block_bytes)
         if users:
             assert_same_parse(got, expected)
         else:
-            assert_same_without_users(parse_columnar(text, block_bytes, users=False), got)
+            assert_same_hourly(parse_columnar(text, block_bytes, OFFSET), got)
 
 
 @pytest.mark.parametrize("name", BAD_UTF8)
@@ -360,15 +378,19 @@ def test_invalid_utf8_is_named_at_its_position_in_the_stream(name):
         assert expected.startswith("stream is not valid UTF-8")
 
 
-def memory_corpus():
-    """A corpus of a few MB (150k rows, 20k users, 24 antennas), as the
-    table written and as the bytes of its file."""
+def memory_corpus(n: int = 150_000, shuffled: bool = False):
+    """A corpus of a few MB (150k rows, 20k users, 24 antennas over 90
+    days, sorted by time unless ``shuffled``), as the table written and as
+    the bytes of its file."""
     rng = np.random.default_rng(3)
-    n, n_users = 150_000, 20_000
+    n_users = 20_000
     located = rng.integers(0, n_users, n).astype(np.int32)
     other = ((located + rng.integers(1, n_users, n)) % n_users).astype(np.int32)
+    timestamp = np.sort(rng.integers(1_325_473_200, 1_333_249_200, n))
+    if shuffled:
+        np.random.default_rng(4).shuffle(timestamp)
     written = CallTable(
-        np.sort(rng.integers(1_325_473_200, 1_333_249_200, n)), located, other,
+        timestamp, located, other,
         rng.random(n) < 0.5, rng.integers(0, 24, n).astype(np.int32),
         tuple(f"u{i:06d}" for i in range(n_users)), tuple(f"A{i:03d}" for i in range(24)),
     )
@@ -404,17 +426,105 @@ def test_parse_memory_is_the_table_plus_a_few_blocks():
 
 
 def test_parse_without_users_holds_no_user_dictionary():
-    # the same corpus read without users: no user codes and no vocabulary
-    # merge, so the peak stays within 5 blocks of the three columns it
-    # builds (measured: 3.35 MiB above them, against 7.17 MiB for the
-    # parse with users)
+    # the hourly parse encodes no user and keeps no row: its peak stays
+    # within 5 blocks of the cells it builds (measured: 3.8 MiB above 0.94 MB
+    # of cells), and four times the rows over the same antennas and hours
+    # raise it by less than one block, where the parse into a table of
+    # timestamps, directions and antennas (13 bytes a row) grew by 6.8 MiB
     written, data = memory_corpus()
-    table, report, peak = traced_parse(data, users=False)
-    assert report.accepted == len(written) and table.users == ()
-    assert np.array_equal(table.timestamp, written.timestamp)
-    assert np.array_equal(table.antenna, written.antenna)
-    columns = sum(column.nbytes for column in (table.timestamp, table.outgoing, table.antenna))
-    assert peak < columns + 5 * ingest._BLOCK_BYTES, (peak, columns)
+    counts, report, peak = traced_parse(data, utc_offset_minutes=OFFSET)
+    assert report.accepted == len(written) == len(counts)
+    cells = sum(column.nbytes for column in (counts.antenna, counts.hour, counts.count))
+    assert peak < cells + 5 * ingest._BLOCK_BYTES, (peak, cells)
+    written, data = memory_corpus(4 * len(written))
+    counts, report, more_peak = traced_parse(data, utc_offset_minutes=OFFSET)
+    assert report.accepted == len(written) == len(counts)
+    assert more_peak < peak + ingest._BLOCK_BYTES, (more_peak, peak)
+    # in random order each block holds thousands of cells, merged with the
+    # others whenever they double (measured: 4.6 MiB above the cells)
+    written, data = memory_corpus(len(written), shuffled=True)
+    counts, report, peak = traced_parse(data, utc_offset_minutes=OFFSET)
+    assert report.accepted == len(written) == len(counts)
+    assert peak < cells + 6 * ingest._BLOCK_BYTES, (peak, cells)
+
+
+# --- the hourly parse against the table -------------------------------------
+
+WEEK_0 = 1_325_473_200  # 2012-01-02 00:00 at -03:00
+
+
+def shuffled_text(n_rows: int, seed: int, extra_lines=()) -> str:
+    """A CDR text of calls at 4 antennas over 3 weeks, with the extra lines,
+    in shuffled order."""
+    rng = np.random.default_rng(seed)
+    lines = [
+        f"u{located},v{other},{'out' if out else 'in'},{WEEK_0 + int(second)},A{antenna}"
+        for located, other, out, second, antenna in zip(
+            rng.integers(0, 9, n_rows), rng.integers(0, 9, n_rows), rng.random(n_rows) < 0.5,
+            rng.integers(0, 21 * 86400, n_rows), rng.integers(0, 4, n_rows),
+        )
+    ] + list(extra_lines)
+    rng.shuffle(lines)
+    return CDR_HEADER + "\n" + "\n".join(lines) + "\n"
+
+
+def assert_same_analysis(counts: HourlyCounts, table: CallTable, utc_offset_minutes: int):
+    """The hourly counts give the table's calendar, dropped calls and cube."""
+    try:
+        calendar = DatasetCalendar.from_records(table, utc_offset_minutes)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            DatasetCalendar.from_records(counts, utc_offset_minutes)
+        return
+    assert DatasetCalendar.from_records(counts, utc_offset_minutes) == calendar
+    in_table, in_counts = table.within(calendar), counts.within(calendar)
+    assert len(in_counts) == len(in_table)
+    try:
+        expected = aggregate(in_table, calendar)
+    except MemoryError:
+        with pytest.raises(MemoryError):
+            aggregate(in_counts, calendar)
+        return
+    got = aggregate(in_counts, calendar)
+    assert got.antennas == expected.antennas
+    assert np.array_equal(got.grid, expected.grid)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_hourly_parse_of_shuffled_lines_at_every_block_size(seed):
+    # 14 calls and 2 rejected lines in random order: blocks of one line up
+    # to the whole text, so cells of one hour meet across blocks and merges
+    text = shuffled_text(14, seed, ["u1,u1,out,1325500000,A0", "u1,v2,up,1325500000,A0"])
+    got = parse_columnar(text)
+    for block_bytes in range(1, len(text.encode("utf-8")) + 2):
+        assert_same_hourly(parse_columnar(text, block_bytes, OFFSET), got)
+
+
+MINUTES = {"-03:00": -180, "+05:45": 345, "+00:07": 7}
+EXTRA_LINES = {
+    "none": [],
+    # at any offset the first day is before year 1, or the grid cannot be allocated
+    "int64 minimum": ["u1,v1,out,-9223372036854775808,A0"],
+    "int64 maximum": ["u1,v1,in,9223372036854775807,A9"],
+    "far past": ["u1,v1,out,-62135683201,A1"],
+    "rejected lines": ["u1,u1,out,1325500000,A0", "u1,v1,out,noon,A0", "u1,v1,out,1325500000"],
+    "a trailing partial week": [
+        f"u1,v1,out,{WEEK_0 + 21 * 86400 + k * 7919},A{k % 5}" for k in range(40)
+    ],
+}
+
+
+@pytest.mark.parametrize("extra", list(EXTRA_LINES))
+@pytest.mark.parametrize("offset", list(MINUTES))
+def test_hourly_parse_counts_the_table_at_any_offset(offset, extra):
+    # offsets whose minutes do not divide the hour shift every cell's start
+    minutes = MINUTES[offset]
+    text = shuffled_text(3000, 7, EXTRA_LINES[extra])
+    got = parse_columnar(text)
+    for block_bytes in (None, 4096):
+        counts = parse_columnar(text, block_bytes, minutes)
+        assert_same_hourly(counts, got, minutes)
+    assert_same_analysis(counts[0], got[0], minutes)
 
 
 def self_call_pairs(widths):
@@ -442,7 +552,7 @@ def test_self_calls_are_found_by_their_bytes(widths):
     pairs, text = self_call_pairs(widths)
     got, expected = parse_both(text)
     assert_same_parse(got, expected)
-    assert_same_without_users(parse_columnar(text, users=False), got)
+    assert_same_hourly(parse_columnar(text, utc_offset_minutes=OFFSET), got)
     _, report = got
     self_calls = [i + 2 for i, (_, _, same) in enumerate(pairs) if same]
     assert [line for line, _ in report.first_errors] == self_calls
