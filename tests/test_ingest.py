@@ -1,4 +1,3 @@
-import datetime as dt
 import io
 import itertools
 import re
