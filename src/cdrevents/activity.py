@@ -182,13 +182,6 @@ class EventIndexSeries:
     def value(self, antenna: str, week: int, dow: int, hour: int) -> float | None:
         return self.values[(antenna, week, dow, hour)]
 
-    def antenna_rows(self, antenna: str) -> Iterator[tuple[int, int, int, float | None]]:
-        """(week, dow, hour, value) rows for one antenna, in calendar order."""
-        for week, slots in enumerate(self.values.row(antenna).tolist()):
-            for slot, value in enumerate(slots):
-                dow, hour = divmod(slot, HOURS_PER_DAY)
-                yield week, dow, hour, None if value != value else value
-
     def silent_antennas(self) -> list[str]:
         """Antennas with no defined values anywhere (nothing to threshold)."""
         silent = np.isnan(self.grid).all(axis=(1, 2))

@@ -36,7 +36,8 @@ from .ingest import (
     write_cdr_file,
     write_client_roster,
 )
-from .model import MAX_UTC_OFFSET_MINUTES, CalendarRangeError, DatasetCalendar, build_contact_graph
+from .model import HOURS_PER_DAY, MAX_UTC_OFFSET_MINUTES, CalendarRangeError, DatasetCalendar
+from .model import build_contact_graph, parse_iso_date
 
 CDR_FILENAME = "cdr.csv"
 ROSTER_FILENAME = "clients.txt"
@@ -125,7 +126,7 @@ def parse_window(token: str) -> tuple[int, int]:
 
 def parse_date(token: str) -> dt.date:
     try:
-        return dt.date.fromisoformat(token)
+        return parse_iso_date(token)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad date {token!r}, expected YYYY-MM-DD"
@@ -258,9 +259,10 @@ def _write_index_dump(out_dir: Path, series, antenna: str) -> None:
     if antenna not in series.antennas:
         raise CliError(f"unknown antenna {antenna!r}")
     lines = [INDEX_HEADER]
-    for week, dow, hour, value in series.antenna_rows(antenna):
-        token = "nan" if value is None else fmt(value)
-        lines.append(f"{week},{dow},{hour},{token}")
+    for week, slots in enumerate(series.values.row(antenna).tolist()):
+        for slot, value in enumerate(slots):
+            dow, hour = divmod(slot, HOURS_PER_DAY)
+            lines.append(f"{week},{dow},{hour},{fmt(value)}")
     write_lines(out_dir / f"index_{antenna}.csv", lines)
 
 
@@ -280,10 +282,7 @@ def _window_analysis(args):
     with open(args.roster, "rb") as stream:
         clients = load_client_set(stream)
     calendar, in_range = _calendar_for(records, args)
-    try:
-        week, dow = calendar.slot_of_date(args.date)
-    except CalendarRangeError as exc:
-        raise CliError(str(exc)) from exc
+    week, dow = calendar.slot_of_date(args.date)
     start_hour, end_hour = args.window
     window = social.EventWindow(args.antenna, week, dow, start_hour, end_hour)
     present = social.attenders(in_range, window, clients, calendar)

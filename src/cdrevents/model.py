@@ -8,6 +8,7 @@ import bisect
 import datetime as dt
 import itertools
 import operator
+import re
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
@@ -36,6 +37,14 @@ def local_hours(timestamps, utc_offset_minutes: int):
     seconds //= SECONDS_PER_HOUR
     hours += seconds
     return hours
+
+
+def parse_iso_date(token: str) -> dt.date:
+    """A ``YYYY-MM-DD`` date in ASCII digits.  ``dt.date.fromisoformat``
+    alone takes other ISO 8601 forms on Python 3.11 and later."""
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", token):
+        raise ValueError(f"bad date {token!r}, expected YYYY-MM-DD")
+    return dt.date.fromisoformat(token)
 
 
 class Direction(Enum):
@@ -86,16 +95,6 @@ class CallRecord(_CallRecordFields):
 
 _DIRECTION_OF = (Direction.INCOMING, Direction.OUTGOING)  # indexed by outgoing
 _ITER_CHUNK = 65_536
-
-
-def _vocabulary_codes(vocabulary: Sequence[str], names: Iterable[str]) -> np.ndarray:
-    """Codes of the ``names`` found in a sorted vocabulary; others are skipped."""
-    codes = []
-    for name in names:
-        i = bisect.bisect_left(vocabulary, name)
-        if i < len(vocabulary) and vocabulary[i] == name:
-            codes.append(i)
-    return np.array(codes, dtype=np.int32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +201,12 @@ class CallTable(Sequence):
 
     def touching(self, users: Iterable[str]) -> "CallTable":
         """Sub-table of the records with one of ``users`` on either side."""
-        codes = _vocabulary_codes(self.users, users)
+        codes = []
+        for name in users:
+            i = bisect.bisect_left(self.users, name)
+            if i < len(self.users) and self.users[i] == name:
+                codes.append(i)
+        codes = np.array(codes, dtype=np.int32)
         return self[np.isin(self.located, codes) | np.isin(self.other, codes)]
 
     def within(self, calendar: "DatasetCalendar") -> "CallTable":

@@ -44,7 +44,7 @@ import numpy as np
 
 from .ingest import _joined
 from .model import DAYS_PER_WEEK, HOURS_PER_DAY, MAX_UTC_OFFSET_MINUTES, SECONDS_PER_HOUR
-from .model import CallTable, DatasetCalendar
+from .model import CallTable, DatasetCalendar, parse_iso_date
 
 DEFAULT_EPOCH_START = dt.date(2012, 1, 2)  # a Monday
 DEFAULT_UTC_OFFSET_MINUTES = -180
@@ -272,8 +272,16 @@ class _Columns:
 
     def add_calls(self, rng: np.random.Generator, ts, antenna, located) -> None:
         """Store a batch of calls by the ``located`` users, drawing from
-        ``rng`` their other parties and then their directions."""
-        other = _draw_other(rng, len(self.user_rank), located, self.popularity)
+        ``rng`` their other parties, redrawn wherever they collide with the
+        located user (two users or more are needed to end), and then their
+        directions."""
+        n_users = len(self.user_rank)
+        draw = self.popularity or (lambda rng, size: rng.integers(0, n_users, size))
+        other = draw(rng, len(located))
+        collision = other == located
+        while collision.any():
+            other[collision] = draw(rng, int(collision.sum()))
+            collision = other == located
         self.add(ts, antenna, located, other, rng.integers(0, 2, len(located)))
 
     def build(self) -> CallTable:
@@ -343,28 +351,6 @@ def _popularity_draw(
     return _WeightedDraw(weights / weights.sum())
 
 
-def _draw_other(
-    rng: np.random.Generator,
-    n_users: int,
-    located: np.ndarray,
-    popularity: _WeightedDraw | None,
-) -> np.ndarray:
-    """Other parties, redrawn wherever they collide with the located user
-    (requires n_users >= 2 to terminate)."""
-
-    def draw(size: int) -> np.ndarray:
-        if popularity is None:
-            return rng.integers(0, n_users, size)
-        return popularity(rng, size)
-
-    other = draw(len(located))
-    collision = other == located
-    while collision.any():
-        other[collision] = draw(int(collision.sum()))
-        collision = other == located
-    return other
-
-
 def _draw_group_sizes(
     rng: np.random.Generator, distribution: Mapping[int, float], target: int
 ) -> list[int]:
@@ -431,8 +417,6 @@ def generate(config: SynthConfig) -> SynthResult:
             rng = np.random.default_rng(child_seq)
             slot_counts = rng.poisson(lam_weeks)
             total = int(slot_counts.sum())
-            if total == 0:
-                continue
             slot_starts = t0 + np.arange(slot_counts.size, dtype=np.int64) * SECONDS_PER_HOUR
             ts = np.repeat(slot_starts, slot_counts.ravel()) + rng.integers(
                 0, SECONDS_PER_HOUR, total
@@ -477,21 +461,15 @@ def generate(config: SynthConfig) -> SynthResult:
             config.group_size_distribution,
             round(ev.social_fraction * ev.n_attendees),
         )
-        pair_u: list[int] = []
-        pair_v: list[int] = []
-        acq_member: list[int] = []
-        acq_other: list[int] = []
+        clique_pairs: list[tuple[int, int]] = []
+        home_ties: list[tuple[int, int]] = []  # (member, outsider)
         attendee_set = set(attendee_idx.tolist())
         cursor = 0
         for size in sizes:
-            member_idx = attendee_idx[cursor : cursor + size]
+            members = attendee_idx[cursor : cursor + size].tolist()
             cursor += size
-            members = member_idx.tolist()
             groups.append(frozenset(users[i] for i in members))
-            for i, u in enumerate(members):
-                for v in members[i + 1 :]:
-                    pair_u.append(u)
-                    pair_v.append(v)
+            clique_pairs += itertools.combinations(members, 2)
             # the rest of the group's social circle stays home
             stay_home_mean = max(0.0, config.social_circle_size - size)
             n_home = int(event_rng.poisson(stay_home_mean))
@@ -501,15 +479,13 @@ def generate(config: SynthConfig) -> SynthResult:
                 outsider = int(event_rng.integers(0, config.n_users))
                 while outsider in attendee_set:
                     outsider = int(event_rng.integers(0, config.n_users))
-                for member in members[:-1]:
-                    acq_member.append(member)
-                    acq_other.append(outsider)
+                home_ties += ((member, outsider) for member in members[:-1])
 
-        def wire(located_ids: list[int], other_ids: list[int], swap_sides: bool):
-            """Off-window calls placed uniformly over the rest of the corpus."""
-            n_pairs = len(located_ids)
-            located_arr = np.asarray(located_ids, dtype=np.int64)
-            other_arr = np.asarray(other_ids, dtype=np.int64)
+        def wire(pairs: list[tuple[int, int]], swap_sides: bool):
+            """Off-window calls between (located, other) pairs, placed
+            uniformly over the rest of the corpus."""
+            n_pairs = len(pairs)
+            located_arr, other_arr = np.array(pairs, dtype=np.int64).T
             if swap_sides:
                 flip = event_rng.integers(0, 2, n_pairs).astype(bool)
                 located_arr, other_arr = (
@@ -528,12 +504,12 @@ def generate(config: SynthConfig) -> SynthResult:
                 event_rng.integers(0, 2, n_pairs),
             )
 
-        if pair_u:
-            wire(pair_u, pair_v, swap_sides=True)
-        if acq_member:
+        if clique_pairs:
+            wire(clique_pairs, swap_sides=True)
+        if home_ties:
             # the member is the located (client) leg; acquaintances may be
             # non-clients and are never located
-            wire(acq_member, acq_other, swap_sides=False)
+            wire(home_ties, swap_sides=False)
 
     return SynthResult(
         records=columns.build(),
@@ -577,7 +553,7 @@ _FROM_JSON: dict[str, Callable[[Any], Any]] = {
         for i, obj in enumerate(objs)
     ),
     "group_size_distribution": lambda sizes: {int(k): p for k, p in sizes.items()},
-    "epoch_start": dt.date.fromisoformat,
+    "epoch_start": parse_iso_date,
 }
 
 

@@ -79,6 +79,13 @@ def test_int64_extreme_record_is_out_of_range(epoch_start, timestamp):
         aggregate([rec("A", "B", OUT, timestamp)], DatasetCalendar(epoch_start, 3))
 
 
+def test_grid_beyond_any_address_space_is_a_memory_error():
+    # 10**16 weeks of one antenna: the cell count alone overflows a byte offset
+    calendar = DatasetCalendar(dt.date(2012, 1, 2), n_weeks=10**16)
+    with pytest.raises(MemoryError, match="cannot be allocated"):
+        aggregate([rec("A", "B", OUT, calendar.start_epoch_seconds)], calendar)
+
+
 def test_extra_antennas_join_the_universe():
     # a cube built with an antenna that has no records lists it, at zero
     cube = aggregate([rec("A", "B", OUT, T0)], CAL)
@@ -157,6 +164,13 @@ def test_index_matches_exact_oracle_on_random_cube():
             assert got is None
         else:
             assert got == pytest.approx(float(exact), abs=1e-12)
+
+
+def test_index_row_of_an_unknown_antenna_is_a_key_error():
+    series = event_index(aggregate([rec("A", "B", OUT, T0)], CAL))
+    assert series.values.row("L1").shape == (CAL.n_weeks, 168)
+    with pytest.raises(KeyError, match="unknown antenna 'L9'"):
+        series.values.row("L9")
 
 
 def test_silent_antenna_listed():

@@ -134,6 +134,7 @@ DROP = object()  # a config change that removes its key
 BAD_GENERATOR_INPUTS = {
     "popularity_exponent not a number": ({"popularity_exponent": "abc"}, []),
     "epoch_start not a date": ({"epoch_start": "2012-13-01"}, []),
+    "epoch_start in ISO 8601 basic form": ({"epoch_start": "20120102"}, []),
     "event not an object": ({"events": [1]}, []),
     "event dow not a number": ({"events": [dict(TINY_EVENT, dow="x")]}, []),
     "n_users not an integer": ({"n_users": 100.5}, []),
@@ -594,6 +595,19 @@ def test_offset_and_window_flags_accept_only_their_documented_form(flag, value):
             ["infer", "cdr.csv", "clients.txt", "--antenna", "A001",
              "--date", "2012-01-13", f"{flag}={value}"]
         )
+    assert excinfo.value.code == 2
+
+
+# Python 3.11's date.fromisoformat takes each of these; 3.10's takes none
+@pytest.mark.parametrize("value", ["20120128", "2012-W04-6", "2012W041", "20120102"])
+@pytest.mark.parametrize("flag", ["--date", "--epoch-start"])
+def test_date_flags_accept_only_yyyy_mm_dd(flag, value):
+    parser = build_parser()
+    command = ["infer", "cdr.csv", "clients.txt", "--antenna", "A001"]
+    args = parser.parse_args([*command, "--date", "2012-01-28", "--epoch-start", "2012-01-02"])
+    assert (args.date, args.epoch_start) == (dt.date(2012, 1, 28), dt.date(2012, 1, 2))
+    with pytest.raises(SystemExit) as excinfo:
+        parser.parse_args([*command, "--date", "2012-01-13", f"{flag}={value}"])
     assert excinfo.value.code == 2
 
 

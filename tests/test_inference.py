@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrevents.inference import (
+    AttendanceRow,
     attendance_probability,
     contact_counts,
     cumulative_attendance_probability,
@@ -64,6 +65,13 @@ def test_path_middle_pair():
     row = table.rows[1]
     assert (row.numerator, row.denominator, row.p) == (2, 4, 0.5)
     assert set(table.rows) == {1}
+
+
+@pytest.mark.parametrize("numerator,denominator", [(3, 2), (-1, 2), (1, 0)])
+def test_attendance_row_needs_a_numerator_within_its_denominator(numerator, denominator):
+    assert AttendanceRow(1, 2, 2).p == 1.0
+    with pytest.raises(ValueError, match=f"bad row k=1: {numerator}/{denominator}"):
+        AttendanceRow(1, numerator, denominator)
 
 
 def test_empty_attendee_set_is_an_error():

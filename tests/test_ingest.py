@@ -155,6 +155,22 @@ def test_non_utf8_stream_is_fatal():
         parse_cdr_file(io.BytesIO(b"\xff\xfe" + CDR_HEADER.encode()))
 
 
+class UnreadableStream(io.RawIOBase):
+    """A byte stream whose every read fails, as on a device error."""
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        raise OSError(5, "Input/output error")
+
+
+@pytest.mark.parametrize("read", [parse_cdr_file, load_client_set], ids=["cdr", "roster"])
+def test_a_read_error_is_an_ingest_error(read):
+    with pytest.raises(IngestError, match="unreadable stream: .*Input/output error"):
+        read(UnreadableStream())
+
+
 def test_crlf_line_endings_accepted():
     text = CDR_HEADER + "\r\nA,B,out,7,L1\r\n"
     records, report = parse_text(text)

@@ -11,7 +11,9 @@ from cdrevents.model import (
     ContactGraph,
     DatasetCalendar,
     Direction,
+    HourlyCounts,
     build_contact_graph,
+    parse_iso_date,
 )
 from helpers import IN, OUT, rec
 
@@ -155,6 +157,58 @@ def test_date_round_trip():
         CAL.window_interval(CAL.n_weeks, 0, 18, 22)
     with pytest.raises(CalendarRangeError):
         CAL.slot_of_date(CAL.epoch_start + dt.timedelta(days=7 * CAL.n_weeks))
+
+
+@pytest.mark.parametrize("start,end", [(18, 18), (22, 18), (-1, 4), (20, 25)])
+def test_window_interval_refuses_a_bad_hour_window(start, end):
+    with pytest.raises(ValueError, match=r"bad hour window"):
+        CAL.window_interval(1, 2, start, end)
+
+
+def test_calendar_needs_a_whole_week():
+    with pytest.raises(ValueError, match="at least one whole week"):
+        DatasetCalendar(dt.date(2012, 1, 2), n_weeks=0)
+
+
+def hourly_counts(utc_offset_minutes, n_calls=1):
+    """HourlyCounts of ``n_calls`` calls at antenna "L1", one in each local
+    hour from hour 10 since the Unix epoch."""
+    earliest = 10 * 3600 - utc_offset_minutes * 60 if n_calls else None
+    return HourlyCounts(
+        ("L1",), np.zeros(n_calls, np.int32), np.arange(10, 10 + n_calls, dtype=np.int64),
+        np.ones(n_calls, np.int64), utc_offset_minutes, earliest, earliest,
+    )
+
+
+def test_hourly_counts_refuse_a_calendar_at_another_offset():
+    counts = hourly_counts(-180)
+    assert counts.calendar_hours(CAL).tolist() == [10 - CAL.first_local_hour]
+    with pytest.raises(ValueError, match="cannot be placed"):
+        counts.calendar_hours(DatasetCalendar(CAL.epoch_start, CAL.n_weeks, 0))
+
+
+@pytest.mark.parametrize("corpus", [[], hourly_counts(-180, n_calls=0)], ids=["records", "hourly"])
+def test_calendar_of_an_empty_corpus_is_refused(corpus):
+    with pytest.raises(ValueError, match="empty corpus"):
+        DatasetCalendar.from_records(corpus)
+
+
+# Python 3.11's date.fromisoformat takes the first three, 3.10's none of them
+@pytest.mark.parametrize(
+    "token",
+    ["20120128", "2012-W04-6", "2012W041", "2012-01-28T00:00", "2012-01-28 ", "2012-1-28",
+     "\u0662012-01-28", ""],
+)
+def test_parse_iso_date_takes_only_yyyy_mm_dd(token):
+    with pytest.raises(ValueError, match="expected YYYY-MM-DD"):
+        parse_iso_date(token)
+
+
+def test_parse_iso_date_reads_yyyy_mm_dd():
+    assert parse_iso_date("2012-01-28") == dt.date(2012, 1, 28)
+    assert parse_iso_date("0001-01-01") == dt.date.min
+    with pytest.raises(ValueError, match="month"):
+        parse_iso_date("2012-13-01")
 
 
 def test_window_interval_matches_slots():

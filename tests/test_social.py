@@ -28,6 +28,8 @@ def test_window_validation():
         EventWindow("L1", 0, 0, 18, 25)
     with pytest.raises(ValueError):
         EventWindow("L1", 0, 7, 18, 22)
+    with pytest.raises(ValueError, match="bad week -1"):
+        EventWindow("L1", -1, 0, 18, 22)
 
 
 def test_no_records_no_attenders():
