@@ -26,7 +26,7 @@ _LENGTH_MASKS = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], dtype=np
 # rows formatted at once, and output bytes gathered at once (one longer
 # line is gathered alone)
 _WRITE_ROWS = 4096
-_WRITE_BYTES = 1 << 18
+_WRITE_BYTES = 1 << 16
 # an int64 in decimal is at most 19 digits and a "-", and a "," follows
 _TIMESTAMP_COLUMNS = 21
 _POWERS_OF_TEN = np.array([10**k for k in range(20)], dtype=np.uint64)
@@ -34,8 +34,10 @@ _POWERS_OF_TEN = np.array([10**k for k in range(20)], dtype=np.uint64)
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # numbers of up to 18 digits fit int64, so they are read with int64 arithmetic
 _FIXED_WIDTH_DIGITS = 18
-# the str.splitlines line breaks other than "\n", as UTF-8, the six ASCII ones first
-_OTHER_BREAKS = tuple(c.encode() for c in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+# the str.splitlines line breaks other than "\n", the six ASCII ones first,
+# as text and as UTF-8
+_OTHER_BREAK_CHARS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_OTHER_BREAKS = tuple(c.encode() for c in _OTHER_BREAK_CHARS)
 
 # why a line is rejected, in the order the checks apply
 _FIELDS, _DIRECTION, _TIMESTAMP, _SELF_CALL, _EMPTY = range(1, 6)
@@ -545,20 +547,27 @@ def parse_cdr_file(
 
 def _unwritable(values: Sequence[str]) -> np.ndarray:
     """Which identifiers hold a comma or a line break (anything
-    ``str.splitlines`` breaks on), so that their line would not parse back."""
+    ``str.splitlines`` breaks on), so that their line would not parse back.
+    Each identifier is checked alone only when their joined text holds a
+    comma, a "\n" inside an identifier or another line break."""
     text = "\n".join(values) + "\n"
-    # a "\r" before a joining "\n" would hide in "\r\n"
-    if "," not in text and "\r" not in text and len(text.splitlines()) == len(values):
+    if text.count("\n") == len(values) and not any(c in text for c in "," + _OTHER_BREAK_CHARS):
         return np.zeros(len(values), dtype=bool)
     return np.array(["," in v or v.splitlines() not in ([v], []) for v in values], dtype=bool)
 
 
-def _packed(values: Sequence[str], end: bytes) -> tuple[bytes, np.ndarray, np.ndarray]:
+def _packed(values: Sequence[str], end: str) -> tuple[bytes, np.ndarray, np.ndarray]:
     """The values in UTF-8, each followed by ``end``, joined, with the start
     and the length of each value with its ``end``."""
-    encoded = [value.encode("utf-8") + end for value in values]
-    lens = np.fromiter(map(len, encoded), np.int64, len(encoded))
-    return b"".join(encoded), np.cumsum(lens) - lens, lens
+    data = (end.join(values) + end).encode("utf-8")
+    # in ASCII a character is a byte; otherwise each value is encoded to be
+    # measured, and dropped
+    lengths = map(len, values) if data.isascii() else (len(v.encode("utf-8")) for v in values)
+    lens = np.fromiter(lengths, np.int64, len(values))
+    lens += len(end)
+    at = np.cumsum(lens)
+    at -= lens
+    return data, at, lens
 
 
 def _decimal(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -606,28 +615,32 @@ def write_cdr_file(records: Iterable[CallRecord], stream: IO[bytes]) -> None:
                 f"cannot write {table[int(bad.argmax())]!r}: an identifier holds a "
                 "comma or a line break"
             )
-    users, user_at, user_len = _packed(table.users, b",")
-    antennas, antenna_at, antenna_len = _packed(table.antennas, b"\n")
+    users, user_at, user_len = _packed(table.users, ",")
+    antennas, antenna_at, antenna_len = _packed(table.antennas, "\n")
     # each field and the separator after it is a span of one buffer: the
     # identifiers, "out," and "in,", then the timestamps of the current rows
-    fixed = users + antennas + b"out,in,"
-    source = np.empty(len(fixed) + _TIMESTAMP_COLUMNS * _WRITE_ROWS, dtype=np.uint8)
-    source[: len(fixed)] = np.frombuffer(fixed, dtype=np.uint8)
+    n_users, fixed = len(users), len(users) + len(antennas) + 7
+    source = np.concatenate([
+        np.frombuffer(part, dtype=np.uint8)
+        for part in (users, antennas, b"out,in,", bytes(_TIMESTAMP_COLUMNS * _WRITE_ROWS))
+    ])
+    del users, antennas
+    offset = np.int32 if len(source) < 2**31 else np.int64
     stream.write(CDR_HEADER.encode() + b"\n")
     for start in range(0, len(table), _WRITE_ROWS):
         rows = slice(start, start + _WRITE_ROWS)
         text, text_len = _decimal(table.timestamp[rows])
-        source[len(fixed) : len(fixed) + text.size] = text.ravel()
-        text_end = len(fixed) + text.shape[1] * np.arange(1, len(text) + 1)
+        source[fixed : fixed + text.size] = text.ravel()
+        text_end = fixed + text.shape[1] * np.arange(1, len(text) + 1)
         located, other, outgoing = table.located[rows], table.other[rows], table.outgoing[rows]
         at = np.stack([
-            user_at[located], user_at[other], np.where(outgoing, len(fixed) - 7, len(fixed) - 3),
-            text_end - text_len, len(users) + antenna_at[table.antenna[rows]],
-        ], axis=1).ravel()
+            user_at[located], user_at[other], np.where(outgoing, fixed - 7, fixed - 3),
+            text_end - text_len, n_users + antenna_at[table.antenna[rows]],
+        ], axis=1, dtype=offset).ravel()
         lens = np.stack([
             user_len[located], user_len[other], np.where(outgoing, 4, 3), text_len,
             antenna_len[table.antenna[rows]],
-        ], axis=1)
+        ], axis=1, dtype=offset)
         # lines that end within one byte budget are gathered together
         line_ends = np.cumsum(lens.sum(axis=1))
         cuts = np.searchsorted(
@@ -655,5 +668,30 @@ def load_client_set(stream: IO[bytes]) -> set[str]:
 
 def write_client_roster(clients: Iterable[str], stream: IO[bytes]) -> None:
     """Write a roster to a byte stream, one identifier per line, sorted for
-    stable output."""
-    stream.write("".join(user + "\n" for user in sorted(clients)).encode("utf-8"))
+    stable output.
+
+    Raises ValueError before writing anything, naming the first client that
+    ``load_client_set`` would not read back as itself: an empty one, or one
+    that holds a line break or starts or ends with whitespace.  Each client
+    is checked alone only when their joined text holds a "\n" inside a
+    client, an unprintable character, or a space or "\n" next to a "\n" or
+    at either end.
+    """
+    roster = sorted(clients)
+    text = "\n".join(roster)
+    # str.isprintable is false for every whitespace character but " "
+    if not (
+        text.count("\n") == len(roster) - 1
+        and text.replace("\n", "").isprintable()
+        and text[:1].strip() and text[-1:].strip()
+        and not any(s in text for s in ("\n\n", "\n ", " \n"))
+    ):
+        for client in roster:
+            if client != client.strip() or client.splitlines() != [client]:
+                raise ValueError(
+                    f"cannot write client {client!r}: it is empty, holds a line break "
+                    "or starts or ends with whitespace"
+                )
+    del roster
+    if text:
+        stream.write(text.encode("utf-8") + b"\n")

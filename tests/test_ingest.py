@@ -1,5 +1,6 @@
 import io
 import itertools
+import os
 import re
 import tracemalloc
 from collections import Counter
@@ -118,6 +119,40 @@ def test_writer_refuses_identifiers_that_cannot_round_trip(located, other, anten
     assert repr(bad) in str(info.value)
 
 
+def per_entry_unwritable(values) -> list[bool]:
+    """The writer's rule, applied to each identifier alone."""
+    return ["," in v or v.splitlines() not in ([v], []) for v in values]
+
+
+# each other line break inside an identifier and ending one, where a "\r"
+# runs into the joining "\n"; a comma; a "\n" that adds a line
+UNWRITABLE = (
+    [f"u{c}1" for c in ingest._OTHER_BREAK_CHARS]
+    + [f"u1{c}" for c in ingest._OTHER_BREAK_CHARS]
+    + ["u,1", "u1,", "u\n1", "u1\n", "\nu1"]
+)
+
+
+@pytest.mark.parametrize("used", [True, False], ids=["used", "unused"])
+@pytest.mark.parametrize("bad", UNWRITABLE)
+def test_unwritable_identifiers_are_found_in_the_joined_text(bad, used):
+    # as a user and as an antenna, the bad entry is flagged alone, as the
+    # per-entry rule flags it; a record that uses it is refused as the
+    # reference refuses it, and a table whose rows do not use it is written
+    records = [
+        rec("A", "B", OUT, 1, "L1"), rec(bad, "B", IN, 2, "L1"),
+        rec("A", "B", OUT, 3, bad), rec("B", "A", IN, 4, "L2"),
+    ]
+    table = CallTable.from_records(records)
+    for values in (table.users, table.antennas):
+        assert ingest._unwritable(values).tolist() == per_entry_unwritable(values)
+        assert per_entry_unwritable(values) == [v == bad for v in values]
+    sub = table[np.array([True, used, used, True])]
+    written = write_with(write_cdr_file, sub)
+    assert written == write_with(reference_write_cdr, list(sub))
+    assert isinstance(written, str) == used
+
+
 @pytest.mark.parametrize("ts", [10**20, -(2**63) - 1])
 def test_writer_refuses_timestamps_outside_int64(ts):
     good = rec("A", "B", OUT, 1)
@@ -190,6 +225,57 @@ def test_roster_round_trip():
     write_client_roster({"B", "A"}, buffer)
     assert buffer.getvalue() == b"A\nB\n"
     assert load_client_set(io.BytesIO(buffer.getvalue())) == {"A", "B"}
+
+
+def reads_back(client: str) -> bool:
+    """Whether ``load_client_set`` reads a roster line holding ``client``
+    back as ``client``."""
+    return client == client.strip() and client.splitlines() == [client]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["a\nb", "u\u2028v", " u1", "u1 ", "u1\r", "", "\tu1", "u1\x1f", "u1\xa0", "\u3000u1", "u1\x85"],
+)
+def test_roster_writer_refuses_clients_that_would_not_read_back(bad):
+    stream = io.BytesIO()
+    with pytest.raises(ValueError, match="cannot write") as info:
+        write_client_roster({"A", bad, "Z"}, stream)
+    assert repr(bad) in str(info.value)
+    assert stream.getvalue() == b""
+
+
+def test_roster_writer_names_the_first_bad_client():
+    with pytest.raises(ValueError, match=re.escape(repr(" b"))):
+        write_client_roster({"c\n", "a", " b", "d "}, io.BytesIO())
+
+
+roster_clients = st.one_of(
+    st.text(max_size=6),
+    st.text("ab \t\n\r\x00\x1f\x85\xa0\u2028\u3000é", max_size=4),
+)
+
+
+@settings(max_examples=300)
+@given(st.sets(roster_clients.filter(reads_back)))
+def test_roster_round_trips_every_writable_set(clients):
+    stream = io.BytesIO()
+    write_client_roster(clients, stream)
+    assert load_client_set(io.BytesIO(stream.getvalue())) == clients
+
+
+@given(st.sets(roster_clients))
+def test_roster_writer_refuses_a_set_exactly_when_a_client_would_not_read_back(clients):
+    bad = sorted(client for client in clients if not reads_back(client))
+    stream = io.BytesIO()
+    if not bad:
+        write_client_roster(clients, stream)
+        assert load_client_set(io.BytesIO(stream.getvalue())) == clients
+        return
+    with pytest.raises(ValueError, match="cannot write") as info:
+        write_client_roster(clients, stream)
+    assert str(info.value).startswith(f"cannot write client {bad[0]!r}:")
+    assert stream.getvalue() == b""
 
 
 identifiers = st.text(
@@ -393,10 +479,10 @@ def test_invalid_utf8_is_named_at_its_position_in_the_stream(name):
         assert expected.startswith("stream is not valid UTF-8")
 
 
-def memory_corpus(n: int = 150_000, shuffled: bool = False):
-    """A corpus of a few MB (150k rows, 20k users, 24 antennas over 90
-    days, sorted by time unless ``shuffled``), as the table written and as
-    the bytes of its file."""
+def memory_table(n: int = 150_000, shuffled: bool = False, unused_users: int = 0) -> CallTable:
+    """A table of a few MB (150k rows, 20k users, 24 antennas over 90 days,
+    sorted by time unless ``shuffled``), whose user vocabulary holds
+    ``unused_users`` more users that no row uses."""
     rng = np.random.default_rng(3)
     n_users = 20_000
     located = rng.integers(0, n_users, n).astype(np.int32)
@@ -404,11 +490,17 @@ def memory_corpus(n: int = 150_000, shuffled: bool = False):
     timestamp = np.sort(rng.integers(1_325_473_200, 1_333_249_200, n))
     if shuffled:
         np.random.default_rng(4).shuffle(timestamp)
-    written = CallTable(
+    return CallTable(
         timestamp, located, other,
         rng.random(n) < 0.5, rng.integers(0, 24, n).astype(np.int32),
-        tuple(f"u{i:06d}" for i in range(n_users)), tuple(f"A{i:03d}" for i in range(24)),
+        tuple(f"u{i:06d}" for i in range(n_users + unused_users)),
+        tuple(f"A{i:03d}" for i in range(24)),
     )
+
+
+def memory_corpus(n: int = 150_000, shuffled: bool = False):
+    """The table of ``memory_table``, and the bytes of its file."""
+    written = memory_table(n, shuffled)
     buffer = io.BytesIO()
     write_cdr_file(written, buffer)
     return written, buffer.getvalue()
@@ -461,6 +553,35 @@ def test_parse_without_users_holds_no_user_dictionary():
     counts, report, peak = traced_parse(data, utc_offset_minutes=OFFSET)
     assert report.accepted == len(written) == len(counts)
     assert peak < cells + 6 * ingest._BLOCK_BYTES, (peak, cells)
+
+
+def traced_write(writer, value) -> int:
+    """The peak of traced memory while ``writer`` writes ``value`` to a
+    stream that keeps nothing."""
+    with open(os.devnull, "wb") as stream:
+        tracemalloc.start()
+        try:
+            writer(value, stream)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_writers_hold_each_vocabulary_once():
+    # the CDR writer holds its vocabularies' bytes and one piece of rows:
+    # four times the rows raise its peak by less than one gather piece, and
+    # users that no row uses cost at most 48 bytes each (measured: 25 bytes,
+    # where a bytes object per user cost 124); the roster writer peaks under
+    # 32 bytes a client (measured: 24, where a string per line cost 74)
+    peak = traced_write(write_cdr_file, memory_table())
+    more_rows = traced_write(write_cdr_file, memory_table(4 * 150_000))
+    assert more_rows < peak + ingest._WRITE_BYTES, (more_rows, peak)
+    unused = 50_000
+    more_users = traced_write(write_cdr_file, memory_table(unused_users=unused))
+    assert more_users <= peak + 48 * unused, (more_users, peak)
+    clients = {f"u{i:06d}" for i in range(35_000)}
+    roster_peak = traced_write(write_client_roster, clients)
+    assert roster_peak < 32 * len(clients), roster_peak
 
 
 # --- the hourly parse against the table -------------------------------------
