@@ -25,9 +25,6 @@ from .model import DAYS_PER_WEEK, HOURS_PER_DAY
 from .model import HOURS_PER_WEEK as SLOTS_PER_WEEK
 from .model import CalendarRangeError, CallRecord, CallTable, DatasetCalendar, HourlyCounts
 
-# rows of a record table binned at once
-_CHUNK_ROWS = 1 << 16
-
 # (antenna, week, day-of-week, hour)
 SlotKey = tuple[str, int, int, int]
 
@@ -121,41 +118,34 @@ def aggregate(
 ) -> ActivityCube:
     """Count located calls per (antenna, week, day-of-week, hour) slot.
 
-    ``records`` is a record sequence, whose records count one call each, or
-    ``HourlyCounts`` at the calendar's UTC offset.  The cube's antennas are
-    those of the calls.  Every call must fall inside the calendar; an
-    out-of-range one raises CalendarRangeError since it indicates a
+    ``records`` is ``HourlyCounts`` at the calendar's UTC offset, or a record
+    sequence, first folded into them (``CallTable.hourly``).  The cube's
+    antennas are those of the calls.  Every call must fall inside the
+    calendar; an out-of-range one raises CalendarRangeError, as it means a
     misconfigured calendar.  A grid too large to index raises MemoryError.
     """
-    if isinstance(records, HourlyCounts):
-        corpus = records
-        cells = [(corpus.antenna, corpus.calendar_hours(calendar), corpus.count)]
-    else:
-        corpus = CallTable.from_records(records)
-        chunks = [slice(i, i + _CHUNK_ROWS) for i in range(0, len(corpus), _CHUNK_ROWS)]
-        cells = (
-            (corpus.antenna[rows], calendar.hours(corpus.timestamp[rows]), 1) for rows in chunks
-        )
-    used = np.flatnonzero(np.bincount(corpus.antenna, minlength=len(corpus.antennas)))
+    if not isinstance(records, HourlyCounts):
+        records = CallTable.from_records(records).hourly(calendar.utc_offset_minutes)
+    used = np.flatnonzero(np.bincount(records.antenna, minlength=len(records.antennas)))
     n_hours = calendar.n_hours
     n_cells = len(used) * n_hours
     if n_cells > np.iinfo(np.intp).max // 8:  # beyond any address space
         raise MemoryError(f"an activity grid of {n_cells} cells cannot be allocated")
+    hours = records.calendar_hours(calendar)
+    out_of_range = (hours < 0) | (hours >= n_hours)
+    if out_of_range.any():
+        raise CalendarRangeError(
+            f"a call at calendar hour {int(hours[out_of_range][0])} is outside the calendar "
+            f"starting {calendar.epoch_start} ({calendar.n_weeks} weeks)"
+        )
     # codes follow string order, so the used codes, in order, are the grid's rows
-    first_cell_of_codes = np.zeros(len(corpus.antennas), dtype=np.int64)
+    first_cell_of_codes = np.zeros(len(records.antennas), dtype=np.int64)
     first_cell_of_codes[used] = np.arange(len(used)) * n_hours
+    hours += first_cell_of_codes[records.antenna]
     grid = np.zeros(n_cells, dtype=np.int64)
-    for codes, hours, counts in cells:
-        out_of_range = (hours < 0) | (hours >= n_hours)
-        if out_of_range.any():
-            raise CalendarRangeError(
-                f"a call at calendar hour {int(hours[out_of_range][0])} is outside the calendar "
-                f"starting {calendar.epoch_start} ({calendar.n_weeks} weeks)"
-            )
-        hours += first_cell_of_codes[codes]
-        np.add.at(grid, hours, counts)
+    np.add.at(grid, hours, records.count)
     grid = grid.reshape(len(used), calendar.n_weeks, SLOTS_PER_WEEK)
-    return ActivityCube(grid, calendar, [corpus.antennas[code] for code in used.tolist()])
+    return ActivityCube(grid, calendar, [records.antennas[code] for code in used.tolist()])
 
 
 class EventIndexSeries:

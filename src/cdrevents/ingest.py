@@ -13,7 +13,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import CallRecord, CallTable, HourlyCounts, local_hours
+from .model import CallRecord, CallTable, HourlyCounts, _fold, local_hours
 
 CDR_HEADER = "located_user,other_party,direction,timestamp,antenna"
 MAX_REPORTED_ERRORS = 20
@@ -312,48 +312,6 @@ class _Vocabulary:
         [data], [lens] = self.data, self.lens
         # each identifier is copied with the byte after it, which must exist
         return _gather_values(np.append(data, np.uint8(0)), np.cumsum(lens) - lens, lens)
-
-
-def _fold(
-    codes: np.ndarray, hours: np.ndarray, counts: np.ndarray | int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (code, hour) pairs of some cells, ordered by code and
-    hour, each with the sum of its cells' ``counts`` (an int64 array, or 1
-    for every cell).  The pairs are binned when the codes times the hour
-    span are at most four times the cells, and sorted otherwise.  Each
-    input is dropped once read, so a caller that passes its only reference
-    frees it early."""
-    n = len(codes)
-    if not n:
-        return codes, hours, np.zeros(0, dtype=np.int64)
-    low = int(hours.min())
-    span = int(hours.max()) - low + 1
-    n_bins = (int(codes.max()) + 1) * span
-    if n_bins <= 4 * n:
-        key = codes.astype(np.int64)
-        key *= span
-        key += hours
-        key -= low
-        del codes, hours
-        binned = np.zeros(n_bins, dtype=np.int64)
-        np.add.at(binned, key, counts)
-        del key, counts
-        hours = np.flatnonzero(binned != 0)  # faster than on int64
-        counts = binned[hours]
-        del binned
-        codes = (hours // span).astype(np.int32)
-        hours %= span
-        hours += low
-        return codes, hours, counts
-    order = np.lexsort((hours, codes))
-    codes, hours, counts = codes[order], hours[order], np.broadcast_to(counts, n)[order]
-    del order
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.not_equal(codes[1:], codes[:-1], out=new[1:])
-    new[1:] |= hours[1:] != hours[:-1]
-    firsts = np.flatnonzero(new)
-    return codes[firsts], hours[firsts], np.add.reduceat(counts, firsts)
 
 
 class _Cells:

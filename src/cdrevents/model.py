@@ -213,6 +213,56 @@ class CallTable(Sequence):
         """Sub-table of the records inside the calendar's weeks."""
         return self[calendar.contains(self.timestamp)]
 
+    def hourly(self, utc_offset_minutes: int) -> "HourlyCounts":
+        """The table's calls per (antenna, local hour) at the offset, folded
+        in one pass, in the table's antenna vocabulary."""
+        stamps = self.timestamp
+        extremes = (int(stamps.min()), int(stamps.max())) if len(stamps) else (None, None)
+        cells = _fold(self.antenna, local_hours(stamps, utc_offset_minutes), 1)
+        return HourlyCounts(self.antennas, *cells, utc_offset_minutes, *extremes)
+
+
+def _fold(
+    codes: np.ndarray, hours: np.ndarray, counts: np.ndarray | int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (code, hour) pairs of some cells, ordered by code and
+    hour, each with the sum of its cells' ``counts`` (an int64 array, or 1
+    for every cell).  The pairs are binned when the codes times the hour
+    span are at most four times the cells, and sorted otherwise.  Each
+    input is dropped once read, so a caller that passes its only reference
+    frees it early."""
+    n = len(codes)
+    if not n:
+        return codes, hours, np.zeros(0, dtype=np.int64)
+    low = int(hours.min())
+    span = int(hours.max()) - low + 1
+    n_bins = (int(codes.max()) + 1) * span
+    if n_bins <= 4 * n:
+        key = codes.astype(np.int64)
+        key *= span
+        key += hours
+        key -= low
+        del codes, hours
+        binned = np.zeros(n_bins, dtype=np.int64)
+        np.add.at(binned, key, counts)
+        del key, counts
+        hours = np.flatnonzero(binned != 0)  # faster than on int64
+        counts = binned[hours]
+        del binned
+        codes = (hours // span).astype(np.int32)
+        hours %= span
+        hours += low
+        return codes, hours, counts
+    order = np.lexsort((hours, codes))
+    codes, hours, counts = codes[order], hours[order], np.broadcast_to(counts, n)[order]
+    del order
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    new[1:] |= hours[1:] != hours[:-1]
+    firsts = np.flatnonzero(new)
+    return codes[firsts], hours[firsts], np.add.reduceat(counts, firsts)
+
 
 @dataclass(frozen=True, eq=False)
 class HourlyCounts:
@@ -224,9 +274,12 @@ class HourlyCounts:
     ``utc_offset_minutes``.  Cells are distinct, non-zero and ordered by
     antenna and hour; the vocabulary is sorted and may hold antennas no cell
     uses.  The length is the number of calls.  ``earliest`` and ``latest``
-    are the extreme timestamps of the parsed calls, None when there are none;
-    a sub-corpus keeps its parent's, so for it they are bounds.  The columns
-    are read-only.
+    are the extreme timestamps of the counted calls, None when there are
+    none; a sub-corpus keeps its parent's, so for it they are bounds.  The
+    columns are read-only.
+
+    The calendar and the activity cube read only this form.  The hourly parse
+    and ``CallTable.hourly`` build it, both folding calls with ``_fold``.
     """
 
     antennas: tuple[str, ...]
@@ -424,8 +477,8 @@ class DatasetCalendar:
         utc_offset_minutes: int = -180,
         epoch_start: dt.date | None = None,
     ) -> "DatasetCalendar":
-        """Derive a calendar from a corpus, a record sequence or its
-        ``HourlyCounts``.
+        """Derive a calendar from a corpus's ``HourlyCounts``, folding a
+        record sequence into them first (``CallTable.hourly``).
 
         Anchors week 0 at the earliest record's local date unless
         ``epoch_start`` is given, and truncates any trailing partial week so
@@ -433,13 +486,9 @@ class DatasetCalendar:
         Records in the truncated tail fall outside the calendar; callers that
         aggregate must filter them out first (``within``).
         """
-        if isinstance(records, HourlyCounts):
-            earliest, latest = records.earliest, records.latest
-        else:
-            stamps = CallTable.from_records(records).timestamp
-            earliest, latest = (
-                (int(stamps.min()), int(stamps.max())) if stamps.size else (None, None)
-            )
+        if not isinstance(records, HourlyCounts):
+            records = CallTable.from_records(records).hourly(utc_offset_minutes)
+        earliest, latest = records.earliest, records.latest
         if earliest is None:
             raise ValueError("cannot derive a calendar from an empty corpus")
         if epoch_start is None:

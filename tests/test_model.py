@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cdrevents.model import (
     CalendarRangeError,
     CallRecord,
+    CallTable,
     ContactGraph,
     DatasetCalendar,
     Direction,
@@ -187,7 +188,10 @@ def test_hourly_counts_refuse_a_calendar_at_another_offset():
         counts.calendar_hours(DatasetCalendar(CAL.epoch_start, CAL.n_weeks, 0))
 
 
-@pytest.mark.parametrize("corpus", [[], hourly_counts(-180, n_calls=0)], ids=["records", "hourly"])
+@pytest.mark.parametrize(
+    "corpus", [[], CallTable.from_records([]), hourly_counts(-180, n_calls=0)],
+    ids=["records", "table", "hourly"],
+)
 def test_calendar_of_an_empty_corpus_is_refused(corpus):
     with pytest.raises(ValueError, match="empty corpus"):
         DatasetCalendar.from_records(corpus)
@@ -251,27 +255,34 @@ def test_int64_extremes_fall_outside_the_calendar(epoch_start):
     assert cal.contains(stamps).tolist() == [False, False, True, True, False]
 
 
+def corpus_forms(stamps):
+    """Calls at the timestamps as the three forms ``from_records`` takes: a
+    record list, its table and the table's hourly counts."""
+    records = [rec("A", "B", OUT, ts) for ts in stamps]
+    table = CallTable.from_records(records)
+    return records, table, table.hourly(CAL.utc_offset_minutes)
+
+
 def test_from_records_truncates_partial_trailing_week():
-    records = [rec("A", "B", OUT, local_ts(d)) for d in (0, 9)]  # spans 10 days
-    cal = DatasetCalendar.from_records(records, CAL.utc_offset_minutes)
-    assert cal.epoch_start == CAL.epoch_start
-    assert cal.n_weeks == 1
-    assert not cal.contains(local_ts(9))
+    for corpus in corpus_forms([local_ts(0), local_ts(9)]):  # spans 10 days
+        cal = DatasetCalendar.from_records(corpus, CAL.utc_offset_minutes)
+        assert cal.epoch_start == CAL.epoch_start
+        assert cal.n_weeks == 1
+        assert not cal.contains(local_ts(9))
 
 
 def test_from_records_needs_a_whole_week():
-    records = [rec("A", "B", OUT, local_ts(0)), rec("A", "B", OUT, local_ts(3))]
-    with pytest.raises(ValueError):
-        DatasetCalendar.from_records(records, CAL.utc_offset_minutes)
+    for corpus in corpus_forms([local_ts(0), local_ts(3)]):
+        with pytest.raises(ValueError, match="^corpus spans less than one whole week$"):
+            DatasetCalendar.from_records(corpus, CAL.utc_offset_minutes)
 
 
 def test_from_records_honors_pinned_start():
-    records = [rec("A", "B", OUT, local_ts(d)) for d in (3, 13)]
-    cal = DatasetCalendar.from_records(
-        records, CAL.utc_offset_minutes, epoch_start=dt.date(2012, 1, 2)
-    )
-    assert cal.epoch_start == dt.date(2012, 1, 2)
-    assert cal.n_weeks == 2
+    for corpus in corpus_forms([local_ts(3), local_ts(13)]):
+        cal = DatasetCalendar.from_records(
+            corpus, CAL.utc_offset_minutes, epoch_start=dt.date(2012, 1, 2)
+        )
+        assert cal == DatasetCalendar(dt.date(2012, 1, 2), 2, CAL.utc_offset_minutes)
 
 
 YEAR_1_LOCAL = -62135596800 + 3 * 3600  # 0001-01-01 00:00 at -03:00
@@ -281,12 +292,13 @@ YEAR_1_LOCAL = -62135596800 + 3 * 3600  # 0001-01-01 00:00 at -03:00
     "stamps", [[-(2**63), local_ts(0)], [YEAR_1_LOCAL - 1, YEAR_1_LOCAL], [2**63 - 1]]
 )
 def test_from_records_refuses_a_first_day_outside_the_years_1_to_9999(stamps):
-    records = [rec("A", "B", OUT, ts) for ts in stamps]
-    with pytest.raises(ValueError, match=f"earliest record timestamp {min(stamps)} is outside"):
-        DatasetCalendar.from_records(records, CAL.utc_offset_minutes)
+    message = f"^earliest record timestamp {min(stamps)} is outside the years 1-9999$"
+    for corpus in corpus_forms(stamps):
+        with pytest.raises(ValueError, match=message):
+            DatasetCalendar.from_records(corpus, CAL.utc_offset_minutes)
 
 
 def test_from_records_starts_on_the_first_day_of_year_1():
-    records = [rec("A", "B", OUT, YEAR_1_LOCAL + d * 86400) for d in (0, 7)]
-    cal = DatasetCalendar.from_records(records, CAL.utc_offset_minutes)
-    assert cal.epoch_start == dt.date.min and cal.start_epoch_seconds == YEAR_1_LOCAL
+    for corpus in corpus_forms([YEAR_1_LOCAL, YEAR_1_LOCAL + 7 * 86400]):
+        cal = DatasetCalendar.from_records(corpus, CAL.utc_offset_minutes)
+        assert cal.epoch_start == dt.date.min and cal.start_epoch_seconds == YEAR_1_LOCAL
