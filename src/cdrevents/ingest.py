@@ -2,8 +2,8 @@
 
 Both formats are UTF-8 text, read from and written to byte streams.  CDR
 files carry a fixed header and one located call leg per line; rosters carry
-one user identifier per line.  Malformed CDR lines are rejected individually
-and reported, never silently dropped.
+one user identifier per line.  Malformed CDR lines, lines that are not UTF-8
+included, are rejected individually and reported, never silently dropped.
 """
 
 from __future__ import annotations
@@ -40,11 +40,12 @@ _OTHER_BREAK_CHARS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _OTHER_BREAKS = tuple(c.encode() for c in _OTHER_BREAK_CHARS)
 
 # why a line is rejected, in the order the checks apply
-_FIELDS, _DIRECTION, _TIMESTAMP, _SELF_CALL, _EMPTY = range(1, 6)
+_UTF8, _FIELDS, _DIRECTION, _TIMESTAMP, _SELF_CALL, _EMPTY = range(1, 7)
 
 
 class IngestError(Exception):
-    """Fatal input problem: undecodable stream or missing/bad header."""
+    """Fatal input problem: an unreadable stream, an undecodable roster, or a
+    missing or bad CDR header."""
 
 
 @dataclass
@@ -71,27 +72,12 @@ def _read_text(stream: IO[bytes]) -> str:
         raise IngestError(f"stream is not valid UTF-8: {exc}") from exc
 
 
-def _utf8_error(exc: UnicodeDecodeError, offset: int) -> IngestError:
-    """The error of decoding the whole stream, for ``exc`` raised by a block
-    that starts ``offset`` bytes into it."""
-    at, last = exc.start + offset, exc.end - 1 + offset
-    where = (
-        f"byte 0x{exc.object[exc.start]:02x} in position {at}" if at == last
-        else f"bytes in position {at}-{last}"
-    )
-    return IngestError(
-        f"stream is not valid UTF-8: 'utf-8' codec can't decode {where}: {exc.reason}"
-    )
-
-
 def _blocks(stream: IO[bytes]) -> Iterator[bytes]:
-    """The stream as UTF-8 bytes, in blocks of whole lines with every line
-    break rewritten to "\n", each followed by ``_PAD``.  A block ends after
-    the last "\n" of a read of ``_BLOCK_BYTES``, so a longer line is read
-    whole, or at the end of the stream.  Bytes are checked to be UTF-8 block
-    by block."""
+    """The stream in blocks of whole lines with every line break rewritten
+    to "\n", each followed by ``_PAD``.  A block ends after the last "\n" of
+    a read of ``_BLOCK_BYTES``, so a longer line is read whole, or at the end
+    of the stream.  Bytes that are not UTF-8 are kept as they are."""
     pending: list[bytes] = []
-    offset = 0  # the bytes of the stream before the block
     at_end = False
     while not at_end:
         try:
@@ -108,16 +94,10 @@ def _blocks(stream: IO[bytes]) -> Iterator[bytes]:
         del piece
         if not data:
             continue
-        is_ascii = data.isascii()
-        if not is_ascii:
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise _utf8_error(exc, offset) from None
-        offset += len(data)
-        breaks = _OTHER_BREAKS[:6] if is_ascii else _OTHER_BREAKS
+        breaks = _OTHER_BREAKS[:6] if data.isascii() else _OTHER_BREAKS
         if any(brk in data for brk in breaks):
-            data = ("\n".join(data.decode().splitlines()) + "\n").encode()
+            text = data.decode("utf-8", "surrogateescape")
+            data = ("\n".join(text.splitlines()) + "\n").encode("utf-8", "surrogateescape")
         data += _PAD
         yield data
 
@@ -244,8 +224,10 @@ def _gather_values(
     return tuple(joined.tobytes().decode().split("\n")[:-1])
 
 
-def _reason(code: int, line: str) -> str:
-    parts = line.split(",")
+def _reason(code: int, line: bytes) -> str:
+    if code == _UTF8:
+        return "not valid UTF-8"
+    parts = line.decode().split(",")
     if code == _FIELDS:
         return f"expected 5 fields, got {len(parts)}"
     located, _, direction, timestamp, _ = parts
@@ -328,7 +310,6 @@ class _Cells:
         self.hours: list[np.ndarray] = []
         self.counts: list[np.ndarray] = []
         self.n_held = self.n_merged = 0
-        self.extremes: list[int] = []  # of each block's timestamps
 
     def add(
         self, buf: np.ndarray, starts: np.ndarray, lens: np.ndarray,
@@ -336,8 +317,6 @@ class _Cells:
     ) -> None:
         """Add a block's distinct antennas, ``buf[starts : starts + lens]``
         in sorted order, and the antenna codes and timestamps of its calls."""
-        if len(timestamp):
-            self.extremes += [int(timestamp.min()), int(timestamp.max())]
         codes, hours, counts = _fold(antenna, local_hours(timestamp, self.utc_offset_minutes), 1)
         self.antennas.add(buf, starts, lens)
         self.codes.append(codes)
@@ -360,10 +339,9 @@ class _Cells:
         """The hourly counts of every block added."""
         if len(self.codes) > 1:
             self.merge()
-        extremes = self.extremes
         return HourlyCounts(
             self.antennas.values(), self.codes[0], self.hours[0], self.counts[0],
-            self.utc_offset_minutes, min(extremes, default=None), max(extremes, default=None),
+            self.utc_offset_minutes,
         )
 
 
@@ -389,11 +367,27 @@ def _parse_lines(
     starts[:1] = 0
     starts[1:] = ends[:-1] + 1
 
+    undecodable = []
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError:
+            # each line with a byte above 0x7f is decoded alone; decoding
+            # the rest of the block after each bad line would copy it
+            lines = np.searchsorted(ends, np.flatnonzero(buf[:size] > 0x7F))
+            lines = lines[np.diff(lines, prepend=-1) != 0]
+            for i, start, end in zip(lines.tolist(), starts[lines].tolist(), ends[lines].tolist()):
+                try:
+                    data[start:end].decode()
+                except UnicodeDecodeError:
+                    undecodable.append(i)
     commas = np.flatnonzero(buf == ord(",")).astype(offset)
     # a line's last comma comes just before the next line's first, so one
     # search bounds both
     first = np.searchsorted(commas, starts)
-    five = np.flatnonzero(np.diff(first, append=len(commas)) == 4)
+    has_five = np.diff(first, append=len(commas)) == 4
+    has_five[undecodable] = False
+    five = np.flatnonzero(has_five)
     bounds = [starts[five] - 1] + [commas[first[five] + k] for k in range(4)]
     bounds.append(ends[five])
     del commas, first
@@ -412,6 +406,7 @@ def _parse_lines(
     direction_ok = outgoing | is_token(2, b"in")
     timestamp, timestamp_ok = _timestamps(buf, data, at[3], lens[3])
     reason = np.full(len(starts), _FIELDS, dtype=np.int8)
+    reason[undecodable] = _UTF8
     reason[five] = np.select([~direction_ok, ~timestamp_ok], [_DIRECTION, _TIMESTAMP], 0)
     rows = np.flatnonzero(direction_ok & timestamp_ok)
     del direction_ok, timestamp_ok
@@ -435,7 +430,7 @@ def _parse_lines(
     report.accepted += int(keep.sum())
     report.rejected += len(rejected)
     for i in rejected[: MAX_REPORTED_ERRORS - len(report.first_errors)].tolist():
-        line = data[starts[i] : ends[i]].decode()
+        line = data[starts[i] : ends[i]]
         report.first_errors.append((line_no + i, _reason(int(reason[i]), line)))
     return timestamp[keep], outgoing[keep], antenna[keep], antennas, len(starts)
 
@@ -448,10 +443,10 @@ def parse_cdr_file(
     Accepts every line break ``str.splitlines`` knows, CRLF included.  Every
     line after the header either yields one record or one rejection entry,
     so accepted + rejected == data lines.  A line is rejected, for the first
-    reason that applies, unless it has five fields, the direction ``out`` or
-    ``in``, a timestamp that is an optional ``-`` followed by ASCII digits
-    with a value that fits int64, two different users and no empty
-    identifier.
+    reason that applies, unless it is UTF-8 and has five fields, the
+    direction ``out`` or ``in``, a timestamp that is an optional ``-``
+    followed by ASCII digits with a value that fits int64, two different
+    users and no empty identifier.
 
     The stream is read in blocks of 1 MiB of whole lines.  Each block is
     parsed into columns and its own vocabularies, which are merged at the
@@ -470,9 +465,7 @@ def parse_cdr_file(
     header_end = data.find(b"\n")
     header = data[: len(data) - len(_PAD) if header_end < 0 else header_end]
     if header != CDR_HEADER.encode():
-        for _ in blocks:  # an invalid byte later in the stream is reported first
-            pass
-        raise IngestError(f"bad CDR header: {header.decode()!r}")
+        raise IngestError(f"bad CDR header: {header.decode('utf-8', 'backslashreplace')!r}")
     report = IngestReport()
     hourly = utc_offset_minutes is not None
     cells = _Cells(utc_offset_minutes) if hourly else None

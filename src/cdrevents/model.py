@@ -216,10 +216,8 @@ class CallTable(Sequence):
     def hourly(self, utc_offset_minutes: int) -> "HourlyCounts":
         """The table's calls per (antenna, local hour) at the offset, folded
         in one pass, in the table's antenna vocabulary."""
-        stamps = self.timestamp
-        extremes = (int(stamps.min()), int(stamps.max())) if len(stamps) else (None, None)
-        cells = _fold(self.antenna, local_hours(stamps, utc_offset_minutes), 1)
-        return HourlyCounts(self.antennas, *cells, utc_offset_minutes, *extremes)
+        cells = _fold(self.antenna, local_hours(self.timestamp, utc_offset_minutes), 1)
+        return HourlyCounts(self.antennas, *cells, utc_offset_minutes)
 
 
 def _fold(
@@ -273,10 +271,7 @@ class HourlyCounts:
     ``hour[i]`` since the Unix epoch (see ``local_hours``) at
     ``utc_offset_minutes``.  Cells are distinct, non-zero and ordered by
     antenna and hour; the vocabulary is sorted and may hold antennas no cell
-    uses.  The length is the number of calls.  ``earliest`` and ``latest``
-    are the extreme timestamps of the counted calls, None when there are
-    none; a sub-corpus keeps its parent's, so for it they are bounds.  The
-    columns are read-only.
+    uses.  The length is the number of calls.  The columns are read-only.
 
     The calendar and the activity cube read only this form.  The hourly parse
     and ``CallTable.hourly`` build it, both folding calls with ``_fold``.
@@ -287,8 +282,6 @@ class HourlyCounts:
     hour: np.ndarray  # int64 local hours since the Unix epoch
     count: np.ndarray  # int64 calls, at least 1
     utc_offset_minutes: int
-    earliest: int | None
-    latest: int | None
 
     def __post_init__(self) -> None:
         for column in (self.antenna, self.hour, self.count):
@@ -480,25 +473,28 @@ class DatasetCalendar:
         """Derive a calendar from a corpus's ``HourlyCounts``, folding a
         record sequence into them first (``CallTable.hourly``).
 
-        Anchors week 0 at the earliest record's local date unless
+        Anchors week 0 at the local date of the earliest cell unless
         ``epoch_start`` is given, and truncates any trailing partial week so
         every (day-of-week, hour) slot is observed the same number of times.
         Records in the truncated tail fall outside the calendar; callers that
-        aggregate must filter them out first (``within``).
+        aggregate must filter them out first (``within``).  Counts at another
+        UTC offset are refused (``HourlyCounts.calendar_hours``).
         """
         if not isinstance(records, HourlyCounts):
             records = CallTable.from_records(records).hourly(utc_offset_minutes)
-        earliest, latest = records.earliest, records.latest
-        if earliest is None:
+        if not len(records.hour):
             raise ValueError("cannot derive a calendar from an empty corpus")
+        pinned = "" if epoch_start is None else f" from the pinned start {epoch_start}"
         if epoch_start is None:
-            first = local_hours(earliest, utc_offset_minutes)
-            ordinal = _UNIX_EPOCH.toordinal() + first // HOURS_PER_DAY
+            day = int(records.hour.min()) // HOURS_PER_DAY
+            ordinal = _UNIX_EPOCH.toordinal() + day
             if not 1 <= ordinal <= dt.date.max.toordinal():
-                raise ValueError(f"earliest record timestamp {earliest} is outside the years 1-9999")
+                raise ValueError(
+                    f"earliest local day {day} (days since 1970-01-01) is outside the years 1-9999"
+                )
             epoch_start = dt.date.fromordinal(ordinal)
-        last = cls(epoch_start, 1, utc_offset_minutes).hours(latest)
+        last = int(records.calendar_hours(cls(epoch_start, 1, utc_offset_minutes)).max())
         n_weeks = (last // HOURS_PER_DAY + 1) // DAYS_PER_WEEK
         if n_weeks < 1:
-            raise ValueError("corpus spans less than one whole week")
+            raise ValueError(f"corpus spans less than one whole week{pinned}")
         return cls(epoch_start, n_weeks, utc_offset_minutes)

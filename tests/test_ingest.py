@@ -5,6 +5,7 @@ import os
 import re
 import tracemalloc
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -187,8 +188,10 @@ def test_missing_header_is_fatal():
 
 
 def test_non_utf8_stream_is_fatal():
-    with pytest.raises(IngestError):
-        parse_cdr_file(io.BytesIO(b"\xff\xfe" + CDR_HEADER.encode()))
+    # only in the header: a data line that is not UTF-8 is rejected alone
+    message = "bad CDR header: " + repr("\\xff\\xfe" + CDR_HEADER)
+    with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+        parse_cdr_file(io.BytesIO(b"\xff\xfe" + CDR_HEADER.encode() + b"\nA,B,out,1,L1\n"))
 
 
 class UnreadableStream(io.RawIOBase):
@@ -403,7 +406,7 @@ def hourly_counts_of(table: CallTable, utc_offset_minutes: int) -> HourlyCounts:
         np.array([antenna for (antenna, _), _ in cells], dtype=np.int32),
         np.array([hour for (_, hour), _ in cells], dtype=np.int64),
         np.array([count for _, count in cells], dtype=np.int64),
-        utc_offset_minutes, min(stamps, default=None), max(stamps, default=None),
+        utc_offset_minutes,
     )
 
 
@@ -427,7 +430,7 @@ def assert_same_counts(counts, expected: HourlyCounts):
         got_column, expected_column = getattr(counts, column), getattr(expected, column)
         assert got_column.dtype == expected_column.dtype, column
         assert np.array_equal(got_column, expected_column), column
-    for field in ("antennas", "utc_offset_minutes", "earliest", "latest"):
+    for field in ("antennas", "utc_offset_minutes"):
         assert getattr(counts, field) == getattr(expected, field), field
 
 
@@ -454,12 +457,6 @@ BLOCK_TEXTS = {
     "long line": CDR_HEADER + "\n" + "x" * 90 + ",y,out,7," + "z" * 40 + "\nA,B,in,8,L1\n",
     "21 rejected lines": CDR_HEADER + "\n" + _ODD_LINES + "\n",
 }
-BAD_UTF8 = {
-    "invalid byte": (CDR_HEADER + "\nA,B,out,1,L1" * 4 + "\n").encode() + b"A,B,out,1,L\xff\nC,D,in,2,L2\n",
-    "invalid bytes": (CDR_HEADER + "\nA,B,out,1,L1\n" * 4).encode() + b"A,\xe2\x82,out,1,L1\n",
-    "cut at the end": (CDR_HEADER + "\nA,B,out,1,L1\n" * 4).encode() + b"A,B,out,1,\xf0\x90",
-    "bad header too": ("x" + CDR_HEADER + "\nA,B,out,1,L1\n" * 4).encode() + b"\xff\n",
-}
 
 
 @pytest.mark.parametrize("name", BLOCK_TEXTS)
@@ -476,13 +473,107 @@ def test_every_block_size_parses_like_the_whole_text(name, users):
             assert_same_hourly(parse_columnar(text, block_bytes, OFFSET), got)
 
 
+class BadLines(NamedTuple):
+    """A CDR stream in which some data lines are not UTF-8, the same stream
+    with each of those lines replaced by "x", and their line numbers."""
+
+    raw: bytes
+    clean: str
+    numbers: frozenset[int]
+
+
+def with_bad_lines(*pieces: str | bytes) -> BadLines:
+    """The stream of text pieces (str) and lines that are not UTF-8 (bytes,
+    each after a line break and before a text piece that starts with one)."""
+    numbers, clean = set(), ""
+    for piece in pieces:
+        if isinstance(piece, bytes):
+            numbers.add(len(clean.splitlines()) + 1)
+        clean += "x" if isinstance(piece, bytes) else piece
+    raw = b"".join(p if isinstance(p, bytes) else p.encode("utf-8") for p in pieces)
+    return BadLines(raw, clean, frozenset(numbers))
+
+
+def reference_without_bad_lines(stream: BadLines):
+    """What the parse of ``stream.raw`` must give: the reference parse of the
+    stream without its lines that are not UTF-8, with one "not valid UTF-8"
+    rejection at each such line's number.  The reference reads "x" there, a
+    line it rejects, so the other lines keep their numbers and the
+    rejections their places."""
+    expected = read_with(reference_parse_cdr, stream.clean)
+    if isinstance(expected, str):
+        return expected
+    records, report = expected
+    report.first_errors = [
+        (number, "not valid UTF-8" if number in stream.numbers else reason)
+        for number, reason in report.first_errors
+    ]
+    return records, report
+
+
+def assert_bad_lines_rejected_alone(stream: BadLines, block_bytes: int | None):
+    """Both parses of ``stream.raw`` reject each line that is not UTF-8 alone."""
+    got = parse_columnar(stream.raw, block_bytes)
+    assert_same_parse(got, reference_without_bad_lines(stream))
+    assert_same_hourly(parse_columnar(stream.raw, block_bytes, OFFSET), got)
+
+
+_LINES = "\nA,B,out,1,L1\n" * 4  # and a blank line between each two
+BAD_UTF8 = {
+    "invalid byte": with_bad_lines(
+        CDR_HEADER + "\nA,B,out,1,L1" * 4 + "\n", b"A,B,out,1,L\xff", "\nC,D,in,2,L2\n"
+    ),
+    "invalid bytes": with_bad_lines(CDR_HEADER + _LINES, b"A,\xe2\x82,out,1,L1", "\n"),
+    "cut at the end": with_bad_lines(CDR_HEADER + _LINES, b"A,B,out,1,\xf0\x90"),
+    "bad header too": with_bad_lines("x" + CDR_HEADER + _LINES, b"\xff", "\n"),
+    # a lone 0x85 is not U+0085, so it breaks no line, in a block whose
+    # other breaks are rewritten
+    "among other breaks": with_bad_lines(
+        CDR_HEADER + "\r\nA,B,out,1,é\u2028", b"A,B,\x85out,1,L1", "\rB,C,in,2,L2\x85",
+        b"\xed\xa0\x80,B,in,3,L1", "\r\nC,D,out,4,L3",
+    ),
+    "more than 20": with_bad_lines(
+        CDR_HEADER + "\n", *itertools.chain.from_iterable(
+            (b"u%d,\xc3\x28,out,%d,A0" % (i, i), f"\nv{i},w,in,{i},A1\nbad\n")
+            for i in range(12)
+        ),
+    ),
+}
+
+
 @pytest.mark.parametrize("name", BAD_UTF8)
-def test_invalid_utf8_is_named_at_its_position_in_the_stream(name):
-    raw = BAD_UTF8[name]
-    for block_bytes in range(1, len(raw) + 2):
-        got, expected = parse_both(raw, block_bytes)
-        assert got == expected
-        assert expected.startswith("stream is not valid UTF-8")
+def test_a_line_that_is_not_utf8_is_rejected_alone(name):
+    stream = BAD_UTF8[name]
+    for block_bytes in range(1, len(stream.raw) + 2):
+        assert_bad_lines_rejected_alone(stream, block_bytes)
+
+
+# sequences that stay invalid whatever character or line break follows
+# them, since none starts with a continuation byte
+NOT_UTF8 = [b"\xff", b"\xfe", b"\x80", b"\x85", b"\xc3\x28", b"\xe2\x82", b"\xf0\x90",
+            b"\xed\xa0\x80", b"\xc0\xaf"]
+
+
+@st.composite
+def streams_with_bad_lines(draw) -> BadLines:
+    pieces: list[str | bytes] = [CDR_HEADER + draw(st.sampled_from(BREAKS))]
+    for _ in range(draw(st.integers(0, 30))):
+        line = draw(cdr_lines())
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(line)))
+            pieces.append(line[:at].encode() + draw(st.sampled_from(NOT_UTF8)) + line[at:].encode())
+            line = ""
+        pieces.append(line + draw(st.sampled_from(BREAKS)))
+    if draw(st.booleans()):  # no final line break
+        pieces[-1] = pieces[-1].rstrip("".join(BREAKS))
+    return with_bad_lines(*pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams_with_bad_lines(), st.data())
+def test_lines_that_are_not_utf8_are_rejected_alone_at_any_block_size(stream, data):
+    block_bytes = data.draw(st.none() | st.integers(1, len(stream.raw) + 2), label="block_bytes")
+    assert_bad_lines_rejected_alone(stream, block_bytes)
 
 
 def memory_table(n: int = 150_000, shuffled: bool = False, unused_users: int = 0) -> CallTable:

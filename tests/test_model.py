@@ -174,10 +174,9 @@ def test_calendar_needs_a_whole_week():
 def hourly_counts(utc_offset_minutes, n_calls=1):
     """HourlyCounts of ``n_calls`` calls at antenna "L1", one in each local
     hour from hour 10 since the Unix epoch."""
-    earliest = 10 * 3600 - utc_offset_minutes * 60 if n_calls else None
     return HourlyCounts(
         ("L1",), np.zeros(n_calls, np.int32), np.arange(10, 10 + n_calls, dtype=np.int64),
-        np.ones(n_calls, np.int64), utc_offset_minutes, earliest, earliest,
+        np.ones(n_calls, np.int64), utc_offset_minutes,
     )
 
 
@@ -275,6 +274,13 @@ def test_from_records_needs_a_whole_week():
     for corpus in corpus_forms([local_ts(0), local_ts(3)]):
         with pytest.raises(ValueError, match="^corpus spans less than one whole week$"):
             DatasetCalendar.from_records(corpus, CAL.utc_offset_minutes)
+    # two weeks of calls, and a start pinned after the last of them
+    message = "^corpus spans less than one whole week from the pinned start 2013-01-01$"
+    for corpus in corpus_forms([local_ts(0), local_ts(13)]):
+        with pytest.raises(ValueError, match=message):
+            DatasetCalendar.from_records(
+                corpus, CAL.utc_offset_minutes, epoch_start=dt.date(2013, 1, 1)
+            )
 
 
 def test_from_records_honors_pinned_start():
@@ -283,6 +289,12 @@ def test_from_records_honors_pinned_start():
             corpus, CAL.utc_offset_minutes, epoch_start=dt.date(2012, 1, 2)
         )
         assert cal == DatasetCalendar(dt.date(2012, 1, 2), 2, CAL.utc_offset_minutes)
+    # counts at UTC+00:00 cannot be placed in a calendar at the default offset
+    at_utc = corpus_forms([local_ts(3), local_ts(13)])[1].hourly(0)
+    with pytest.raises(ValueError, match="^hours counted at UTC offset 0 min cannot be placed"):
+        DatasetCalendar.from_records(
+            at_utc, CAL.utc_offset_minutes, epoch_start=dt.date(2012, 1, 2)
+        )
 
 
 YEAR_1_LOCAL = -62135596800 + 3 * 3600  # 0001-01-01 00:00 at -03:00
@@ -292,7 +304,8 @@ YEAR_1_LOCAL = -62135596800 + 3 * 3600  # 0001-01-01 00:00 at -03:00
     "stamps", [[-(2**63), local_ts(0)], [YEAR_1_LOCAL - 1, YEAR_1_LOCAL], [2**63 - 1]]
 )
 def test_from_records_refuses_a_first_day_outside_the_years_1_to_9999(stamps):
-    message = f"^earliest record timestamp {min(stamps)} is outside the years 1-9999$"
+    day = (min(stamps) + 60 * CAL.utc_offset_minutes) // 86400
+    message = rf"^earliest local day {day} \(days since 1970-01-01\) is outside the years 1-9999$"
     for corpus in corpus_forms(stamps):
         with pytest.raises(ValueError, match=message):
             DatasetCalendar.from_records(corpus, CAL.utc_offset_minutes)
