@@ -33,6 +33,7 @@ from .ingest import (
     IngestReport,
     load_client_set,
     parse_cdr_file,
+    parse_touching,
     write_cdr_file,
     write_client_roster,
 )
@@ -133,12 +134,15 @@ def parse_date(token: str) -> dt.date:
         ) from None
 
 
-def _load_corpus(cdr_path: Path, utc_offset_minutes: int | None = None):
-    """The corpus as a call table, or as its hourly counts at the offset."""
+def _load_corpus(cdr_path: Path, utc_offset_minutes: int, window=None):
+    """The corpus's hourly counts at the offset, and with a window also its
+    records inside it (see ``parse_cdr_file``)."""
     with open(cdr_path, "rb") as stream:
-        records, report = parse_cdr_file(stream, utc_offset_minutes=utc_offset_minutes)
+        corpus, report = parse_cdr_file(
+            stream, utc_offset_minutes=utc_offset_minutes, window=window
+        )
     _print_rejections(cdr_path, report)
-    return records
+    return corpus
 
 
 def _print_rejections(path: Path, report: IngestReport) -> None:
@@ -154,8 +158,8 @@ def _print_rejections(path: Path, report: IngestReport) -> None:
 
 
 def _calendar_for(records, args):
-    """Calendar derived from the corpus (a call table or its hourly counts)
-    plus the records it covers."""
+    """Calendar derived from the corpus's hourly counts, plus the counts it
+    covers."""
     if not records:
         raise CliError("corpus is empty, nothing to analyze")
     try:
@@ -275,24 +279,35 @@ def cmd_report(args) -> int:
 
 
 def _window_analysis(args):
-    """Shared prep for subgraph/infer: attenders and the induced subgraph."""
+    """Shared prep for subgraph/infer: attenders and the induced subgraph.
+
+    The CDR file is read twice.  The first pass counts its calls per hour,
+    for the calendar, and keeps the records inside the window, for the
+    attenders; the window's epoch interval depends only on the date, the
+    hours and the offset.  The second pass keeps the attenders' records."""
     from . import social
 
-    records = _load_corpus(args.cdr)
+    start_hour, end_hour = args.window
+    interval = DatasetCalendar(args.date, 1, args.utc_offset).window_interval(
+        0, 0, start_hour, end_hour
+    )
+    counts, inside = _load_corpus(args.cdr, args.utc_offset, (args.antenna, *interval))
     with open(args.roster, "rb") as stream:
         clients = load_client_set(stream)
-    calendar, in_range = _calendar_for(records, args)
+    calendar, _ = _calendar_for(counts, args)
     week, dow = calendar.slot_of_date(args.date)
-    start_hour, end_hour = args.window
     window = social.EventWindow(args.antenna, week, dow, start_hour, end_hour)
-    present = social.attenders(in_range, window, clients, calendar)
+    present = social.attenders(inside, window, clients, calendar)
+    del counts, inside, clients  # the second pass holds only its block and rows
     if not present:
         raise CliError(
             f"no attenders at {args.antenna} on {args.date} "
             f"{start_hour:02d}:00-{end_hour:02d}:00"
         )
     # every later step reads only neighbors(u) of attenders u: their edges suffice
-    graph = build_contact_graph(in_range.touching(present))
+    with open(args.cdr, "rb") as stream:
+        touching = parse_touching(stream, present)
+    graph = build_contact_graph(touching.within(calendar))
     subgraph = social.induce_subgraph(graph, present)
     return graph, subgraph
 

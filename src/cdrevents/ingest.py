@@ -9,7 +9,7 @@ included, are rejected individually and reported, never silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -211,6 +211,15 @@ def _spans(buf: np.ndarray, at: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return buf.take(index, mode="clip")
 
 
+def _lines_of(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The byte fields ``buf[starts : starts + lens]``, at least one, each
+    followed by "\n", concatenated."""
+    spans = lens.astype(np.int64) + 1
+    joined = _spans(buf, starts, spans)
+    joined[np.cumsum(spans) - 1] = ord("\n")
+    return joined
+
+
 def _gather_values(
     buf: np.ndarray, starts: np.ndarray, lens: np.ndarray
 ) -> tuple[str, ...]:
@@ -218,10 +227,7 @@ def _gather_values(
     copied out with "\n" after each, decoded together and split."""
     if not len(starts):
         return ()
-    spans = lens.astype(np.int64) + 1
-    joined = _spans(buf, starts, spans)
-    joined[np.cumsum(spans) - 1] = ord("\n")
-    return tuple(joined.tobytes().decode().split("\n")[:-1])
+    return tuple(_lines_of(buf, starts, lens).tobytes().decode().split("\n")[:-1])
 
 
 def _reason(code: int, line: bytes) -> str:
@@ -266,8 +272,9 @@ class _Vocabulary:
 
     def add(self, buf: np.ndarray, starts: np.ndarray, lens: np.ndarray, *codes: np.ndarray) -> None:
         """Add a block's distinct identifiers, ``buf[starts : starts + lens]``
-        in sorted order, and its code columns."""
-        self.data.append(_spans(buf, starts, lens) if len(lens) else buf[:0])
+        in sorted order, and its code columns.  The bytes are copied, so
+        that the block can be freed."""
+        self.data.append(_spans(buf, starts, lens) if len(lens) else np.zeros(0, np.uint8))
         self.lens.append(lens)
         for column, block_codes in zip(self.columns, codes):
             column.append(block_codes)
@@ -345,18 +352,12 @@ class _Cells:
         )
 
 
-def _parse_lines(
-    data: bytes,
-    line_no: int,
-    report: IngestReport,
-    users: _Vocabulary | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...], int]:
-    """Parse a block of whole data lines followed by ``_PAD``, the first
-    line being line ``line_no`` of the stream, into ``report`` and the user
-    vocabulary (users are not encoded when ``users`` is None).  Returns the
-    timestamp, outgoing and antenna columns of the accepted lines, the
-    antenna codes being into the block's distinct antennas, those antennas
-    as ``(buf, starts, lens)`` in sorted order, and the number of lines."""
+def _split(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray, list, list]:
+    """Find the lines and fields of a block of whole data lines followed by
+    ``_PAD``.  Returns the block as uint8, the start and the end of each
+    line, the lines that are not UTF-8, the other lines that have five
+    fields, and the starts and the lengths of those lines' fields (located,
+    other, direction, timestamp, antenna)."""
     buf = np.frombuffer(data, dtype=np.uint8)
     size = len(data) - len(_PAD)
     offset = np.int32 if size < 2**31 else np.int64
@@ -391,10 +392,29 @@ def _parse_lines(
     bounds = [starts[five] - 1] + [commas[first[five] + k] for k in range(4)]
     bounds.append(ends[five])
     del commas, first
-    # located, other, direction, timestamp, antenna
     at = [b + 1 for b in bounds[:-1]]
     lens = [b - a for a, b in zip(at, bounds[1:])]
-    del bounds
+    return buf, starts, ends, undecodable, five, at, lens
+
+
+class _Block(NamedTuple):
+    """The accepted lines of a block (see ``_parse_lines``)."""
+
+    data: bytes  # the block, ending in _PAD
+    timestamp: np.ndarray
+    outgoing: np.ndarray
+    antenna: np.ndarray  # codes into the block's distinct antennas
+    antennas: tuple[np.ndarray, np.ndarray, np.ndarray]  # (buf, starts, lens), sorted
+    user_at: tuple[np.ndarray, np.ndarray]  # located and other fields' starts
+    user_lens: tuple[np.ndarray, np.ndarray]  # and their lengths
+    n_lines: int
+
+
+def _parse_lines(data: bytes, line_no: int, report: IngestReport) -> _Block:
+    """Parse a block of whole data lines followed by ``_PAD``, the first
+    line being line ``line_no`` of the stream, into ``report`` and the
+    columns of its accepted lines.  Users are checked but not encoded."""
+    buf, starts, ends, undecodable, five, at, lens = _split(data)
 
     def is_token(field: int, token: bytes) -> np.ndarray:
         match = lens[field] == len(token)
@@ -419,11 +439,6 @@ def _parse_lines(
     row_reason = np.select([self_call, empty], [_SELF_CALL, _EMPTY], 0)
     reason[five] = row_reason
     keep = row_reason == 0
-    if users is not None:
-        user_at, user_lens = np.concatenate(at[:2]), np.concatenate(lens[:2])
-        user_codes, user_firsts = _encode(data, user_at, user_lens)
-        located, other = np.split(user_codes, 2)
-        users.add(buf, user_at[user_firsts], user_lens[user_firsts], located[keep], other[keep])
     antenna, antenna_firsts = _encode(data, at[2], lens[2])
     antennas = (buf, at[2][antenna_firsts], lens[2][antenna_firsts])
     rejected = np.flatnonzero(reason)
@@ -432,12 +447,74 @@ def _parse_lines(
     for i in rejected[: MAX_REPORTED_ERRORS - len(report.first_errors)].tolist():
         line = data[starts[i] : ends[i]]
         report.first_errors.append((line_no + i, _reason(int(reason[i]), line)))
-    return timestamp[keep], outgoing[keep], antenna[keep], antennas, len(starts)
+    return _Block(
+        data, timestamp[keep], outgoing[keep], antenna[keep], antennas,
+        (at[0][keep], at[1][keep]), (lens[0][keep], lens[1][keep]), len(starts),
+    )
+
+
+class _Rows:
+    """Accepted rows of blocks, kept as the columns of a ``CallTable``."""
+
+    def __init__(self) -> None:
+        self.users, self.antennas = _Vocabulary(2), _Vocabulary(1)
+        self.timestamps: list[np.ndarray] = []
+        self.outgoings: list[np.ndarray] = []
+
+    def add(self, block: _Block, rows: np.ndarray | slice = slice(None)) -> None:
+        """Add the block's accepted rows, or those that ``rows`` picks."""
+        at = np.concatenate([column[rows] for column in block.user_at])
+        lens = np.concatenate([column[rows] for column in block.user_lens])
+        codes, firsts = _encode(block.data, at, lens)
+        buf = np.frombuffer(block.data, dtype=np.uint8)
+        self.users.add(buf, at[firsts], lens[firsts], *np.split(codes, 2))
+        self.antennas.add(*block.antennas, block.antenna[rows])
+        self.timestamps.append(block.timestamp[rows])
+        self.outgoings.append(block.outgoing[rows])
+
+    def table(self) -> CallTable:
+        """The rows of every block added, at least one, as a table."""
+        (antenna,), antennas = self.antennas.merge()
+        (located, other), users = self.users.merge()
+        timestamp, outgoing = _joined(self.timestamps), _joined(self.outgoings)
+        return CallTable(timestamp, located, other, outgoing, antenna, users, antennas)
+
+
+def _data_blocks(stream: IO[bytes]) -> Iterator[bytes]:
+    """The blocks of ``_blocks`` after the header line, at least one; raises
+    IngestError if the header is missing or not ``CDR_HEADER``."""
+    blocks = _blocks(stream)
+    data = next(blocks, _PAD)
+    if data == _PAD:
+        raise IngestError("empty CDR stream (missing header)")
+    header_end = data.find(b"\n")
+    header = data[: len(data) - len(_PAD) if header_end < 0 else header_end]
+    if header != CDR_HEADER.encode():
+        raise IngestError(f"bad CDR header: {header.decode('utf-8', 'backslashreplace')!r}")
+    data = data[header_end + 1 :] if header_end >= 0 else _PAD
+    yield data
+    del data
+    yield from blocks
+
+
+def _at_window(block: _Block, window: tuple[str, int, int]) -> np.ndarray:
+    """Which accepted rows of the block are at antenna ``window[0]`` with a
+    timestamp in ``[window[1], window[2])``."""
+    antenna, t_lo, t_hi = window
+    # an identifier that is not UTF-8 (a lone surrogate) matches no field
+    name = antenna.encode("utf-8", "surrogatepass")
+    _, starts, lens = block.antennas
+    spans = zip(starts.tolist(), lens.tolist())
+    code = next((i for i, (s, k) in enumerate(spans) if block.data[s : s + k] == name), -1)
+    return (block.antenna == code) & (block.timestamp >= t_lo) & (block.timestamp < t_hi)
 
 
 def parse_cdr_file(
-    stream: IO[bytes], *, utc_offset_minutes: int | None = None
-) -> tuple[CallTable | HourlyCounts, IngestReport]:
+    stream: IO[bytes],
+    *,
+    utc_offset_minutes: int | None = None,
+    window: tuple[str, int, int] | None = None,
+) -> tuple[CallTable | HourlyCounts | tuple[HourlyCounts, CallTable], IngestReport]:
     """Parse a CDR byte stream into a call table plus a validation report.
 
     Accepts every line break ``str.splitlines`` knows, CRLF included.  Every
@@ -456,44 +533,84 @@ def parse_cdr_file(
     result is the corpus's ``HourlyCounts`` at that offset, lines are
     accepted and rejected as before, user fields are checked but not
     encoded, and each block is folded into cells as it is parsed, so memory
-    stays about the antennas times the hours plus one block.
+    stays about the antennas times the hours plus one block.  Given also
+    ``window``, an ``(antenna, t_lo, t_hi)`` triple, the result is those
+    counts and a table of the accepted records at that antenna with a
+    timestamp in ``[t_lo, t_hi)``.
     """
-    blocks = _blocks(stream)
-    data = next(blocks, _PAD)
-    if data == _PAD:
-        raise IngestError("empty CDR stream (missing header)")
-    header_end = data.find(b"\n")
-    header = data[: len(data) - len(_PAD) if header_end < 0 else header_end]
-    if header != CDR_HEADER.encode():
-        raise IngestError(f"bad CDR header: {header.decode('utf-8', 'backslashreplace')!r}")
+    if window is not None and utc_offset_minutes is None:
+        raise ValueError("a window is kept only beside hourly counts")
     report = IngestReport()
-    hourly = utc_offset_minutes is not None
-    cells = _Cells(utc_offset_minutes) if hourly else None
-    users, antennas = (None if hourly else _Vocabulary(2)), _Vocabulary(1)
-    timestamps, outgoings = [], []
+    cells = None if utc_offset_minutes is None else _Cells(utc_offset_minutes)
+    rows = None if cells is not None and window is None else _Rows()
     line_no = 2
-    data = data[header_end + 1 :] if header_end >= 0 else _PAD
-    while data is not None:
-        timestamp, outgoing, antenna, block_antennas, n_lines = _parse_lines(
-            data, line_no, report, users
-        )
-        if hourly:
-            cells.add(*block_antennas, antenna, timestamp)
-        else:
-            antennas.add(*block_antennas, antenna)
-            timestamps.append(timestamp)
-            outgoings.append(outgoing)
-        line_no += n_lines
+    for data in _data_blocks(stream):
+        block = _parse_lines(data, line_no, report)
+        del data
+        if cells is not None:
+            cells.add(*block.antennas, block.antenna, block.timestamp)
+        if rows is not None:
+            rows.add(block, slice(None) if window is None else _at_window(block, window))
+        line_no += block.n_lines
         # the block's columns and identifiers go before the next block is read
-        del timestamp, outgoing, antenna, block_antennas
-        data = next(blocks, None)
-    if hourly:
+        del block
+    if cells is None:
+        return rows.table(), report
+    if rows is None:
         return cells.result(), report
-    (antenna,), antenna_values = antennas.merge()
-    timestamp, outgoing = _joined(timestamps), _joined(outgoings)
-    (located, other), user_values = users.merge()
-    table = CallTable(timestamp, located, other, outgoing, antenna, user_values, antenna_values)
-    return table, report
+    return (cells.result(), rows.table()), report
+
+
+# the multiplier of a user key's first word; it is even, so a field of at
+# most 8 bytes, whose first and last words are one, keeps a key of its own
+_KEY_FACTOR = np.uint64(0x9E3779B97F4A7C14)
+
+
+def _user_keys(data: bytes, at: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """A uint64 key of each byte field ``data[at : at + lens]``, where
+    ``data`` ends in ``_PAD``: its first and its last 8-byte word, masked
+    to the field, and its length.  Equal fields have equal keys."""
+    at_byte = _words(data)
+    mask = _LENGTH_MASKS.take(lens, mode="clip")
+    keys = at_byte[at] & mask
+    keys *= _KEY_FACTOR
+    keys += at_byte[at + np.maximum(lens - 8, 0)] & mask
+    keys += lens.astype(np.uint64)
+    return keys
+
+
+def parse_touching(stream: IO[bytes], users: Collection[str]) -> CallTable:
+    """The accepted records of a CDR byte stream with one of ``users`` on
+    either side, as ``parse_cdr_file`` reads them.
+
+    The stream is read in blocks as ``parse_cdr_file`` reads it.  Of each
+    block only the lines whose located or other field has the key
+    (``_user_keys``) of one of ``users`` are parsed, and the records are
+    then kept by their users, so a line whose key is shared with a user is
+    parsed and dropped, and no record of the users is lost.  Memory stays
+    about those users' records plus one block.
+    """
+    names = [user.encode("utf-8", "surrogatepass") for user in users]
+    lens = np.fromiter(map(len, names), np.int64, len(names))
+    wanted = _user_keys(b"".join(names) + _PAD, np.cumsum(lens) - lens, lens)
+    # the largest key closes the list, so that every search lands on a key
+    wanted = np.append(np.sort(wanted), np.uint64(2**64 - 1))
+    del names, lens
+    rows = _Rows()
+    for data in _data_blocks(stream):
+        buf, starts, ends, _, five, at, lens = _split(data)
+        hit = np.zeros(len(five), dtype=bool)
+        for field in (0, 1):
+            keys = _user_keys(data, at[field], lens[field])
+            hit |= wanted[np.searchsorted(wanted, keys)] == keys
+        lines = five[hit]
+        if len(lines):
+            picked = _lines_of(buf, starts[lines], ends[lines] - starts[lines]).tobytes() + _PAD
+        else:
+            picked = _PAD
+        del data, buf, starts, ends, five, at, lens
+        rows.add(_parse_lines(picked, 0, IngestReport()))
+    return rows.table().touching(users)
 
 
 def _unwritable(values: Sequence[str]) -> np.ndarray:

@@ -450,13 +450,17 @@ def test_utc_offset_flag_parses(tmp_path):
         main(["detect", str(cdr), str(roster), "--utc-offset", "nonsense"])
 
 
-def test_window_commands_match_full_graph_library_answers(tmp_path):
-    # the CLI builds only the attenders' incident edges; every output must
-    # equal what the library computes from the full contact graph
-    import datetime as dt
+WINDOW_OUTPUTS = {
+    "subgraph": ["subgraph_edges.csv", "subgraph_summary.csv"],
+    "infer": ["subgraph_summary.csv", "attendance.csv", "cumulative.csv", "fit.csv"],
+}
 
+
+def library_answers(cdr, roster, antenna, date, window=(18, 22), min_denominator=5):
+    """The lines of every window-command output, derived by the library from
+    the full parse of the CDR file and the full contact graph; and that
+    graph, the attenders and the clients."""
     from cdrevents import (
-        DatasetCalendar,
         EventWindow,
         attendance_probability,
         attenders,
@@ -468,12 +472,6 @@ def test_window_commands_match_full_graph_library_answers(tmp_path):
         parse_cdr_file,
     )
 
-    cdr, roster, _ = generate_corpus(tmp_path, SOCIAL_CONFIG)
-    date = event_date()
-    common = [str(cdr), str(roster), "--antenna", "A001", "--date", date]
-    assert main(["subgraph", *common, "--out", str(tmp_path / "sub")]) == 0
-    assert main(["infer", *common, "--out", str(tmp_path / "inf")]) == 0
-
     with open(cdr, "rb") as stream:
         records, _ = parse_cdr_file(stream)
     with open(roster, "rb") as stream:
@@ -481,13 +479,8 @@ def test_window_commands_match_full_graph_library_answers(tmp_path):
     calendar = DatasetCalendar.from_records(records)
     in_range = [r for r in records if calendar.contains(r.timestamp)]
     week, dow = calendar.slot_of_date(dt.date.fromisoformat(date))
-    present = attenders(in_range, EventWindow("A001", week, dow), clients, calendar)
+    present = attenders(in_range, EventWindow(antenna, week, dow, *window), clients, calendar)
     graph = build_contact_graph(in_range, clients)
-
-    # the case is only telling if the full graph holds much the CLI skips
-    touching = sum(len(graph.neighbors(u)) for u in present)
-    assert touching < graph.n_edges / 2
-    assert any(v not in clients for u in present for v in graph.neighbors(u))
 
     sub = induce_subgraph(graph, present)
     sizes = component_size_histogram(sub)
@@ -507,23 +500,113 @@ def test_window_commands_match_full_graph_library_answers(tmp_path):
         num = sum(r.numerator for k, r in rows if k >= big_k)
         den = sum(r.denominator for k, r in rows if k >= big_k)
         cumulative.append(f"{big_k},{num / den:.12g}")
-    points = table.points(5)
+    points = table.points(min_denominator)
     fit = linear_fit(points)
     fit_lines = [
         "slope,intercept,r,n_points",
         f"{fit.slope:.12g},{fit.intercept:.12g},{fit.r:.12g},{len(points)}",
     ]
+    answers = {
+        "subgraph_edges.csv": edges,
+        "subgraph_summary.csv": summary,
+        "attendance.csv": attendance,
+        "cumulative.csv": cumulative,
+        "fit.csv": fit_lines,
+    }
+    return answers, graph, present, clients
 
-    def lines(path):
-        return path.read_text().splitlines()
 
-    assert lines(tmp_path / "sub" / "subgraph_edges.csv") == edges
-    assert len(edges) > 20
-    for out in ("sub", "inf"):
-        assert lines(tmp_path / out / "subgraph_summary.csv") == summary
-    assert lines(tmp_path / "inf" / "attendance.csv") == attendance
-    assert lines(tmp_path / "inf" / "cumulative.csv") == cumulative
-    assert lines(tmp_path / "inf" / "fit.csv") == fit_lines
+def assert_window_commands_give(answers, cdr, roster, out, flags, min_denominator=5):
+    """``subgraph`` and ``infer`` with these flags write ``answers``."""
+    for command, names in WINDOW_OUTPUTS.items():
+        args = [command, str(cdr), str(roster), "--out", str(out / command), *flags]
+        if command == "infer":
+            args += ["--min-denominator", str(min_denominator)]
+        assert main(args) == 0
+        for name in names:
+            assert (out / command / name).read_text(encoding="utf-8").splitlines() == answers[name]
+
+
+def test_window_commands_match_full_graph_library_answers(tmp_path):
+    # the CLI builds only the attenders' incident edges; every output must
+    # equal what the library computes from the full contact graph
+    cdr, roster, _ = generate_corpus(tmp_path, SOCIAL_CONFIG)
+    date = event_date()
+    answers, graph, present, clients = library_answers(cdr, roster, "A001", date)
+
+    # the case is only telling if the full graph holds much the CLI skips
+    touching = sum(len(graph.neighbors(u)) for u in present)
+    assert touching < graph.n_edges / 2
+    assert any(v not in clients for u in present for v in graph.neighbors(u))
+    assert len(answers["subgraph_edges.csv"]) > 20
+
+    assert_window_commands_give(answers, cdr, roster, tmp_path, ["--antenna", "A001", "--date", date])
+
+
+# identifiers whose uint64 words and lengths tell them apart only in part:
+# the pairs share their first 8 or 16 bytes, their last 8 or 16, both (and
+# so the same first and last word and length), or all but a trailing NUL
+PREFIX, SUFFIX = "sixteen-byte-pre", "sixteen-byte-suf"
+ATTENDING = ["prefix08-a", PREFIX + "-a", "a-" + SUFFIX, PREFIX + "x" + SUFFIX, "nul", "ñandú", "😀"]
+NOT_ATTENDING = ["prefix08-b", PREFIX + "-b", "b-" + SUFFIX, PREFIX + "y" + SUFFIX, "nul\x00",
+                 "ñandú\x00", "😀😀"]
+
+
+def hostile_window_corpus(directory):
+    """A one-week CDR file with CRLF breaks whose attenders at W on
+    2012-01-06 18:00-22:00 have the identifiers of ``ATTENDING``, and their
+    roster.  Every attender calls two other attenders, and the users of
+    ``NOT_ATTENDING`` one to four.  Beside them are lines that name an
+    attender but are rejected, one per reason, one of them not UTF-8, and an
+    attender's call after the last whole week."""
+    week = DatasetCalendar(dt.date(2012, 1, 2), 1, -180)
+    start, window = week.start_epoch_seconds, week.window_interval(0, 4, 18, 22)[0]
+    lines = [f"{u},{v},out,{start + 60 * i},A0" for i, (u, v) in enumerate([
+        *zip(ATTENDING, ATTENDING[1:] + ATTENDING[:1]),
+        *((v, u) for u, v in zip(NOT_ATTENDING, ATTENDING)),
+        *((v, u) for u, v in zip(NOT_ATTENDING, ATTENDING[1:4])),
+        *((v, u) for u, v in zip(NOT_ATTENDING, ATTENDING[4:6])),
+        *((v, u) for u, v in zip(NOT_ATTENDING[::2], ATTENDING[6:])),
+        ("bystander", "walker"), ("walker", NOT_ATTENDING[0]), (NOT_ATTENDING[3], "bystander"),
+    ])]
+    lines += [f"{u},visitor,in,{window + 60 * i},W" for i, u in enumerate(ATTENDING)]
+    lines += [
+        f"walker,{ATTENDING[0]},out,{window},W",  # neither is a client
+        f"{NOT_ATTENDING[5]},visitor,in,{window},W",
+        f"{ATTENDING[1]},late,out,{week.end_epoch_seconds + 3600},A0",  # after the week
+        f"{ATTENDING[2]},tail,out,{week.end_epoch_seconds - 1},A1",
+        f"{ATTENDING[0]},missing,out,{window}",
+        f"{ATTENDING[0]},sideways,up,{window},W",
+        f"{ATTENDING[0]},bad-time,out,{window}s,W",
+        f"{ATTENDING[0]},{ATTENDING[0]},out,{window},W",
+        f"{ATTENDING[0]},empty-antenna,out,{window},",
+    ]
+    text = "\r\n".join([ingest.CDR_HEADER, *lines]).encode("utf-8")
+    text += f"\r\n{ATTENDING[3]},".encode() + b"\xff\xfe" + f",out,{window},W\r\n".encode()
+    directory.mkdir(parents=True, exist_ok=True)
+    cdr, roster = directory / "cdr.csv", directory / "clients.txt"
+    cdr.write_bytes(text)
+    roster.write_text("\n".join(ATTENDING + NOT_ATTENDING[::2]) + "\n", encoding="utf-8")
+    return cdr, roster
+
+
+@pytest.mark.parametrize("block_bytes", [None, 64, 333])
+def test_window_commands_match_the_library_on_hostile_identifiers(
+    tmp_path, monkeypatch, block_bytes
+):
+    # the second pass picks lines by a key of each user field's first and
+    # last word and its length, which some of these identifiers share, then
+    # keeps the attenders' records exactly: no line may be lost or added
+    if block_bytes is not None:
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+    cdr, roster = hostile_window_corpus(tmp_path / "in")
+    answers, graph, present, _ = library_answers(cdr, roster, "W", "2012-01-06", min_denominator=1)
+    assert present == set(ATTENDING)
+    # the case is only telling if each kind of line is in it
+    assert "late" not in graph.nodes and "tail" in graph.nodes
+    assert graph.neighbors(NOT_ATTENDING[3]) == {ATTENDING[3], "bystander"}
+    flags = ["--antenna", "W", "--date", "2012-01-06"]
+    assert_window_commands_give(answers, cdr, roster, tmp_path / "out", flags, min_denominator=1)
 
 
 def test_calendar_keeps_both_edges_and_drops_the_end_instant(tmp_path, capsys):

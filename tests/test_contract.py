@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from cdrevents import activity, cli, inference, social, synth
+from cdrevents import CallTable, HourlyCounts, activity, cli, inference, social, synth
 
 WRAPPED = [
     (synth, "generate"),
@@ -113,6 +113,11 @@ def test_infer_calls_the_ingest_graph_social_and_inference_layers(calls, corpus,
     )
     assert status == 0
     check_parse(calls)
+    # the one parse counts the corpus per hour and keeps only the records
+    # inside the window: no table of the whole corpus
+    [((hourly, inside), report)] = calls["parse_cdr_file"]
+    assert isinstance(hourly, HourlyCounts) and len(hourly) == report.accepted
+    assert isinstance(inside, CallTable) and 0 < len(inside) < report.accepted / 10
     counts = Counter({name: len(results) for name, results in calls.items()})
     for name in ("load_client_set", "attenders", "build_contact_graph", "induce_subgraph",
                  "attendance_probability", "linear_fit", "component_size_histogram"):

@@ -12,13 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdrevents import ingest
+from cdrevents import cli, ingest
 from cdrevents.activity import aggregate
+from cdrevents.cli import build_parser
 from cdrevents.ingest import (
     CDR_HEADER,
     IngestError,
     load_client_set,
     parse_cdr_file,
+    parse_touching,
     write_cdr_file,
     write_client_roster,
 )
@@ -673,6 +675,50 @@ def test_parse_without_users_holds_no_user_dictionary():
     assert peak < cells + 6 * ingest._BLOCK_BYTES, (peak, cells)
 
 
+def window_corpus(directory, filler: int):
+    """``memory_corpus(filler)``, whose rows touch no attender, plus the
+    rows of 200 attenders: each located at antenna W on 2012-02-03 between
+    18:00 and 22:00, calling five users of the filler and two attenders; and
+    the arguments of ``infer`` on that window."""
+    _, data = memory_corpus(filler)
+    window = DatasetCalendar(dt.date(2012, 2, 3), 1, OFFSET).window_interval(0, 0, 18, 22)[0]
+    rng = np.random.default_rng(5)
+    attending = [f"a{i:04d}" for i in range(200)]
+    lines = [f"{a},u{rng.integers(20_000):06d},out,{window + i},W" for i, a in enumerate(attending)]
+    lines += [
+        f"{a},{b},in,{rng.integers(1_325_473_200, 1_333_249_200)},A{rng.integers(24):03d}"
+        for a in attending
+        for b in [*(f"u{i:06d}" for i in rng.integers(20_000, size=5)), *rng.choice(attending, 2)]
+        if a != b
+    ]
+    cdr, roster = directory / "cdr.csv", directory / "clients.txt"
+    cdr.write_bytes(data + "\n".join(lines).encode() + b"\n")
+    roster.write_text("\n".join(attending) + "\n")
+    return build_parser().parse_args(
+        ["infer", str(cdr), str(roster), "--antenna", "W", "--date", "2012-02-03"]
+    )
+
+
+def test_window_analysis_holds_the_attenders_rows_not_the_corpus(tmp_path):
+    # subgraph and infer read the CDR file twice, holding the hourly cells,
+    # the attenders' rows and one block: four times the rows that touch no
+    # attender raise their peak by less than one block (measured: 5.74 and
+    # 5.76 MiB on files of 5.1 and 20.4 MiB, where the parse into a table
+    # peaked at 8.2 and 29.6 MiB)
+    peaks, answers = [], []
+    for filler in (150_000, 600_000):
+        args = window_corpus(tmp_path, filler)
+        tracemalloc.start()
+        try:
+            graph, subgraph = cli._window_analysis(args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        answers.append((subgraph, sorted(graph.edges)))
+    assert len(answers[0][0].attenders) == 200 and answers[0] == answers[1]
+    assert peaks[1] < peaks[0] + ingest._BLOCK_BYTES, peaks
+
+
 def traced_write(writer, value) -> int:
     """The peak of traced memory while ``writer`` writes ``value`` to a
     stream that keeps nothing."""
@@ -890,6 +936,35 @@ def test_long_and_nul_identifiers_keep_their_own_codes(width, filler):
     assert report.rejected == 0
     assert list(table) == expected[0]
     assert table.users == tuple(sorted(stems + ["a", "b"] * (filler > 0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cdr_texts(), st.lists(field_identifiers | st.just("\ud800"), max_size=6), st.data())
+def test_the_rows_touching_some_users_are_those_of_the_full_parse(text, users, data):
+    block_bytes = data.draw(
+        st.none() | st.integers(1, len(text.encode("utf-8")) + 2), label="block_bytes"
+    )
+    full = parse_columnar(text, block_bytes)
+    with pytest.MonkeyPatch.context() as patch:
+        if block_bytes is not None:
+            patch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+        touching = read_with(lambda stream: parse_touching(stream, users), text)
+    if isinstance(full, str):
+        assert touching == full
+    else:
+        assert list(touching) == list(full[0].touching(users))
+
+
+def test_a_user_key_shared_with_another_user_adds_no_row():
+    # the two users share their first and last uint64 words and their
+    # length, so their lines are picked by one key and told apart after
+    users = [f"sixteen-byte-pre{c}sixteen-byte-suf" for c in "xy"]
+    data = "".join(users).encode() + bytes(8)
+    keys = ingest._user_keys(data, np.array([0, 33]), np.array([33, 33]))
+    assert keys[0] == keys[1]
+    text = CDR_HEADER + f"\n{users[0]},a,out,1,L\n{users[1]},b,in,2,L\nc,{users[1]},out,3,L\n"
+    table = parse_touching(io.BytesIO(text.encode()), [users[0]])
+    assert list(table) == [rec(users[0], "a", OUT, 1, "L")]
 
 
 # --- the column writer against the per-record reference ------------------------
