@@ -163,9 +163,7 @@ def _calendar_for(records, args):
     if not records:
         raise CliError("corpus is empty, nothing to analyze")
     try:
-        calendar = DatasetCalendar.from_records(
-            records, args.utc_offset, getattr(args, "epoch_start", None)
-        )
+        calendar = DatasetCalendar.from_records(records, args.utc_offset, args.epoch_start)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     in_range = records.within(calendar)

@@ -61,17 +61,6 @@ class IngestReport:
     first_errors: list[tuple[int, str]] = field(default_factory=list)
 
 
-def _read_text(stream: IO[bytes]) -> str:
-    try:
-        data = stream.read()
-    except OSError as exc:
-        raise IngestError(f"unreadable stream: {exc}") from exc
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"stream is not valid UTF-8: {exc}") from exc
-
-
 def _blocks(stream: IO[bytes]) -> Iterator[bytes]:
     """The stream in blocks of whole lines with every line break rewritten
     to "\n", each followed by ``_PAD``.  A block ends after the last "\n" of
@@ -211,15 +200,6 @@ def _spans(buf: np.ndarray, at: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return buf.take(index, mode="clip")
 
 
-def _lines_of(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The byte fields ``buf[starts : starts + lens]``, at least one, each
-    followed by "\n", concatenated."""
-    spans = lens.astype(np.int64) + 1
-    joined = _spans(buf, starts, spans)
-    joined[np.cumsum(spans) - 1] = ord("\n")
-    return joined
-
-
 def _gather_values(
     buf: np.ndarray, starts: np.ndarray, lens: np.ndarray
 ) -> tuple[str, ...]:
@@ -227,7 +207,10 @@ def _gather_values(
     copied out with "\n" after each, decoded together and split."""
     if not len(starts):
         return ()
-    return tuple(_lines_of(buf, starts, lens).tobytes().decode().split("\n")[:-1])
+    spans = lens.astype(np.int64) + 1
+    joined = _spans(buf, starts, spans)
+    joined[np.cumsum(spans) - 1] = ord("\n")
+    return tuple(joined.tobytes().decode().split("\n")[:-1])
 
 
 def _reason(code: int, line: bytes) -> str:
@@ -352,12 +335,48 @@ class _Cells:
         )
 
 
-def _split(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray, list, list]:
-    """Find the lines and fields of a block of whole data lines followed by
-    ``_PAD``.  Returns the block as uint8, the start and the end of each
-    line, the lines that are not UTF-8, the other lines that have five
-    fields, and the starts and the lengths of those lines' fields (located,
-    other, direction, timestamp, antenna)."""
+# the multiplier of a user key's first word; it is even, so a field of at
+# most 8 bytes, whose first and last words are one, keeps a key of its own
+_KEY_FACTOR = np.uint64(0x9E3779B97F4A7C14)
+
+
+def _user_keys(data: bytes, at: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """A uint64 key of each byte field ``data[at : at + lens]``, where
+    ``data`` ends in ``_PAD``: its first and its last 8-byte word, masked
+    to the field, and its length.  Equal fields have equal keys."""
+    at_byte = _words(data)
+    mask = _LENGTH_MASKS.take(lens, mode="clip")
+    keys = at_byte[at] & mask
+    keys *= _KEY_FACTOR
+    keys += at_byte[at + np.maximum(lens - 8, 0)] & mask
+    keys += lens.astype(np.uint64)
+    return keys
+
+
+class _Block(NamedTuple):
+    """The accepted lines of a block (see ``_parse_lines``)."""
+
+    data: bytes  # the block, ending in _PAD
+    timestamp: np.ndarray
+    outgoing: np.ndarray
+    antenna: np.ndarray  # codes into the block's distinct antennas
+    antennas: tuple[np.ndarray, np.ndarray, np.ndarray]  # (buf, starts, lens), sorted
+    user_at: tuple[np.ndarray, np.ndarray]  # located and other fields' starts
+    user_lens: tuple[np.ndarray, np.ndarray]  # and their lengths
+    n_lines: int
+
+
+def _parse_lines(
+    data: bytes, line_no: int, report: IngestReport, wanted: np.ndarray | None = None
+) -> _Block:
+    """Parse a block of whole data lines followed by ``_PAD``, the first
+    line being line ``line_no`` of the stream, into ``report`` and the
+    columns of its accepted lines.  Users are checked but not encoded.
+
+    Given ``wanted``, the sorted ``_user_keys`` of some users closed by the
+    largest key, only the UTF-8 lines of five fields whose located or other
+    field has one of those keys are parsed and accepted or rejected; the
+    other lines go unparsed and unreported."""
     buf = np.frombuffer(data, dtype=np.uint8)
     size = len(data) - len(_PAD)
     offset = np.int32 if size < 2**31 else np.int64
@@ -391,30 +410,18 @@ def _split(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, np.nd
     five = np.flatnonzero(has_five)
     bounds = [starts[five] - 1] + [commas[first[five] + k] for k in range(4)]
     bounds.append(ends[five])
-    del commas, first
+    del commas, first, has_five
+    if wanted is not None:
+        hit = np.zeros(len(five), dtype=bool)
+        for field in (0, 1):
+            keys = _user_keys(data, bounds[field] + 1, bounds[field + 1] - bounds[field] - 1)
+            hit |= wanted[np.searchsorted(wanted, keys)] == keys
+        five, bounds = five[hit], [b[hit] for b in bounds]
+    # the starts and the lengths of the fields (located, other, direction,
+    # timestamp, antenna)
     at = [b + 1 for b in bounds[:-1]]
     lens = [b - a for a, b in zip(at, bounds[1:])]
-    return buf, starts, ends, undecodable, five, at, lens
-
-
-class _Block(NamedTuple):
-    """The accepted lines of a block (see ``_parse_lines``)."""
-
-    data: bytes  # the block, ending in _PAD
-    timestamp: np.ndarray
-    outgoing: np.ndarray
-    antenna: np.ndarray  # codes into the block's distinct antennas
-    antennas: tuple[np.ndarray, np.ndarray, np.ndarray]  # (buf, starts, lens), sorted
-    user_at: tuple[np.ndarray, np.ndarray]  # located and other fields' starts
-    user_lens: tuple[np.ndarray, np.ndarray]  # and their lengths
-    n_lines: int
-
-
-def _parse_lines(data: bytes, line_no: int, report: IngestReport) -> _Block:
-    """Parse a block of whole data lines followed by ``_PAD``, the first
-    line being line ``line_no`` of the stream, into ``report`` and the
-    columns of its accepted lines.  Users are checked but not encoded."""
-    buf, starts, ends, undecodable, five, at, lens = _split(data)
+    del bounds
 
     def is_token(field: int, token: bytes) -> np.ndarray:
         match = lens[field] == len(token)
@@ -425,8 +432,9 @@ def _parse_lines(data: bytes, line_no: int, report: IngestReport) -> _Block:
     outgoing = is_token(2, b"out")
     direction_ok = outgoing | is_token(2, b"in")
     timestamp, timestamp_ok = _timestamps(buf, data, at[3], lens[3])
-    reason = np.full(len(starts), _FIELDS, dtype=np.int8)
-    reason[undecodable] = _UTF8
+    reason = np.full(len(starts), _FIELDS if wanted is None else 0, dtype=np.int8)
+    if wanted is None:
+        reason[undecodable] = _UTF8
     reason[five] = np.select([~direction_ok, ~timestamp_ok], [_DIRECTION, _TIMESTAMP], 0)
     rows = np.flatnonzero(direction_ok & timestamp_ok)
     del direction_ok, timestamp_ok
@@ -561,34 +569,17 @@ def parse_cdr_file(
     return (cells.result(), rows.table()), report
 
 
-# the multiplier of a user key's first word; it is even, so a field of at
-# most 8 bytes, whose first and last words are one, keeps a key of its own
-_KEY_FACTOR = np.uint64(0x9E3779B97F4A7C14)
-
-
-def _user_keys(data: bytes, at: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """A uint64 key of each byte field ``data[at : at + lens]``, where
-    ``data`` ends in ``_PAD``: its first and its last 8-byte word, masked
-    to the field, and its length.  Equal fields have equal keys."""
-    at_byte = _words(data)
-    mask = _LENGTH_MASKS.take(lens, mode="clip")
-    keys = at_byte[at] & mask
-    keys *= _KEY_FACTOR
-    keys += at_byte[at + np.maximum(lens - 8, 0)] & mask
-    keys += lens.astype(np.uint64)
-    return keys
-
-
 def parse_touching(stream: IO[bytes], users: Collection[str]) -> CallTable:
     """The accepted records of a CDR byte stream with one of ``users`` on
     either side, as ``parse_cdr_file`` reads them.
 
-    The stream is read in blocks as ``parse_cdr_file`` reads it.  Of each
-    block only the lines whose located or other field has the key
-    (``_user_keys``) of one of ``users`` are parsed, and the records are
-    then kept by their users, so a line whose key is shared with a user is
-    parsed and dropped, and no record of the users is lost.  Memory stays
-    about those users' records plus one block.
+    The stream is read in blocks as ``parse_cdr_file`` reads it, and each
+    block is parsed once.  Only the lines whose located or other field has
+    the key (``_user_keys``) of one of ``users`` are parsed; the other lines
+    go unparsed and unreported.  The records are then kept by their users,
+    so a line whose key is shared with a user is parsed and dropped, and no
+    record of the users is lost.  Memory stays about those users' records
+    plus one block.
     """
     names = [user.encode("utf-8", "surrogatepass") for user in users]
     lens = np.fromiter(map(len, names), np.int64, len(names))
@@ -598,18 +589,8 @@ def parse_touching(stream: IO[bytes], users: Collection[str]) -> CallTable:
     del names, lens
     rows = _Rows()
     for data in _data_blocks(stream):
-        buf, starts, ends, _, five, at, lens = _split(data)
-        hit = np.zeros(len(five), dtype=bool)
-        for field in (0, 1):
-            keys = _user_keys(data, at[field], lens[field])
-            hit |= wanted[np.searchsorted(wanted, keys)] == keys
-        lines = five[hit]
-        if len(lines):
-            picked = _lines_of(buf, starts[lines], ends[lines] - starts[lines]).tobytes() + _PAD
-        else:
-            picked = _PAD
-        del data, buf, starts, ends, five, at, lens
-        rows.add(_parse_lines(picked, 0, IngestReport()))
+        rows.add(_parse_lines(data, 0, IngestReport(), wanted))
+        del data
     return rows.table().touching(users)
 
 
@@ -726,8 +707,14 @@ def load_client_set(stream: IO[bytes]) -> set[str]:
 
     Blank lines are ignored; surrounding whitespace is stripped.
     """
+    try:
+        text = stream.read().decode("utf-8")
+    except OSError as exc:
+        raise IngestError(f"unreadable stream: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"stream is not valid UTF-8: {exc}") from exc
     clients: set[str] = set()
-    for line in _read_text(stream).splitlines():
+    for line in text.splitlines():
         token = line.strip()
         if token:
             clients.add(token)

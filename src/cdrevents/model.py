@@ -291,7 +291,8 @@ class HourlyCounts:
         return int(self.count.sum())
 
     def calendar_hours(self, calendar: "DatasetCalendar") -> np.ndarray:
-        """The calendar hour of each cell (see ``DatasetCalendar.hours``)."""
+        """The calendar hour ``week * 168 + dow * 24 + hour`` of each cell:
+        negative or at least ``calendar.n_hours`` outside the calendar."""
         if calendar.utc_offset_minutes != self.utc_offset_minutes:
             raise ValueError(
                 f"hours counted at UTC offset {self.utc_offset_minutes} min cannot be placed "
@@ -427,14 +428,6 @@ class DatasetCalendar:
     def end_epoch_seconds(self) -> int:
         """First instant after the last week (exclusive bound)."""
         return self.start_epoch_seconds + self.n_hours * SECONDS_PER_HOUR
-
-    def hours(self, timestamps):
-        """Calendar hour ``week * 168 + dow * 24 + hour`` of an epoch timestamp
-        or of each one in an int64 array: negative or at least ``n_hours``
-        outside the calendar."""
-        hours = local_hours(timestamps, self.utc_offset_minutes)
-        hours -= self.first_local_hour
-        return hours
 
     def contains(self, timestamps):
         """Whether an epoch timestamp, or each one in an int64 array, falls

@@ -16,7 +16,6 @@ from cdrevents.ingest import (
     MAX_REPORTED_ERRORS,
     IngestError,
     IngestReport,
-    _read_text,
 )
 from cdrevents.model import CallRecord, ContactGraph, Direction
 from cdrevents.synth import PlantedEvent, SynthConfig, flat_profile
@@ -238,8 +237,7 @@ def reference_parse_cdr(stream) -> tuple[list[CallRecord], IngestReport]:
     """Per-line CDR parser, the reference ``parse_cdr_file`` is checked
     against: split the decoded text into lines, each line into fields, and
     build one CallRecord per accepted line."""
-    text = _read_text(stream)
-    lines = text.splitlines()
+    lines = stream.read().decode("utf-8").splitlines()
     if not lines:
         raise IngestError("empty CDR stream (missing header)")
     if lines[0] != CDR_HEADER:

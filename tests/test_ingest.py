@@ -18,6 +18,7 @@ from cdrevents.cli import build_parser
 from cdrevents.ingest import (
     CDR_HEADER,
     IngestError,
+    IngestReport,
     load_client_set,
     parse_cdr_file,
     parse_touching,
@@ -226,6 +227,11 @@ def test_roster_parsing_dedups_and_skips_blanks():
     assert load_client_set(io.BytesIO(b"A\r\nB\r\n")) == {"A", "B"}
 
 
+def test_a_roster_that_is_not_utf8_is_an_ingest_error():
+    with pytest.raises(IngestError, match="stream is not valid UTF-8"):
+        load_client_set(io.BytesIO(b"A\n\xff\n"))
+
+
 def test_roster_round_trip():
     buffer = io.BytesIO()
     write_client_roster({"B", "A"}, buffer)
@@ -368,15 +374,20 @@ def read_with(parse, text: str | bytes):
 
 
 def parse_columnar(
-    text: str | bytes, block_bytes: int | None = None, utc_offset_minutes: int | None = None
+    text: str | bytes, block_bytes: int | None = None, utc_offset_minutes: int | None = None,
+    window: tuple[str, int, int] | None = None,
 ):
     """The columnar parse, reading ``block_bytes`` at a time if given, and
-    counting calls per hour at ``utc_offset_minutes`` if given."""
+    counting calls per hour at ``utc_offset_minutes`` and keeping the
+    records of ``window`` if given."""
     with pytest.MonkeyPatch.context() as patch:
         if block_bytes is not None:
             patch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
         return read_with(
-            lambda stream: parse_cdr_file(stream, utc_offset_minutes=utc_offset_minutes), text
+            lambda stream: parse_cdr_file(
+                stream, utc_offset_minutes=utc_offset_minutes, window=window
+            ),
+            text,
         )
 
 
@@ -965,6 +976,75 @@ def test_a_user_key_shared_with_another_user_adds_no_row():
     text = CDR_HEADER + f"\n{users[0]},a,out,1,L\n{users[1]},b,in,2,L\nc,{users[1]},out,3,L\n"
     table = parse_touching(io.BytesIO(text.encode()), [users[0]])
     assert list(table) == [rec(users[0], "a", OUT, 1, "L")]
+
+
+def test_a_block_parsed_for_some_users_counts_only_their_lines():
+    # of six lines, one not UTF-8 and one of two fields, only the two of
+    # user "u" with five fields are accepted or rejected
+    data = b"u,a,out,1,L\nu,b,up,2,L\nc,d,up,3,L\nc,d,out,4,L\nu,\xff,out,5,L\nx,y\n" + bytes(8)
+    key = ingest._user_keys(b"u" + bytes(8), np.array([0]), np.array([1]))
+    report = IngestReport()
+    block = ingest._parse_lines(data, 2, report, np.append(key, np.uint64(2**64 - 1)))
+    assert (report.accepted, report.rejected) == (1, 1)
+    assert report.first_errors == [(3, "unknown direction 'up'")]
+    assert block.timestamp.tolist() == [1] and block.n_lines == 6
+    report = IngestReport()
+    ingest._parse_lines(data, 2, report)
+    assert (report.accepted, report.rejected) == (2, 4)
+
+
+def assert_window_parse(text: str | bytes, block_bytes: int | None, window):
+    """The parse of ``window`` counts what the hourly parse counts and
+    keeps the full parse's records at the window's antenna with a timestamp
+    in ``[t_lo, t_hi)``."""
+    got = parse_columnar(text, block_bytes, OFFSET, window)
+    hourly, full = parse_columnar(text, block_bytes, OFFSET), parse_columnar(text, block_bytes)
+    if isinstance(full, str):
+        assert got == hourly == full
+        return
+    ((counts, table), report), (hourly_counts, hourly_report) = got, hourly
+    assert report == hourly_report
+    assert_same_counts(counts, hourly_counts)
+    antenna, t_lo, t_hi = window
+    kept = [r for r in full[0] if r.antenna == antenna and t_lo <= r.timestamp < t_hi]
+    assert list(table) == kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(cdr_texts(), st.data())
+def test_the_window_parse_counts_the_corpus_and_keeps_the_window(text, data):
+    block_bytes = data.draw(
+        st.none() | st.integers(1, len(text.encode("utf-8")) + 2), label="block_bytes"
+    )
+    full = parse_columnar(text, block_bytes)
+    table = CallTable.from_records([]) if isinstance(full, str) else full[0]
+    # an antenna of the corpus or none, and bounds at or just after a
+    # record's timestamp or anywhere in int64
+    antenna = st.sampled_from(["absent", "\ud800", *table.antennas])
+    edges = [min(t + d, 2**63 - 1) for t in table.timestamp.tolist() for d in (0, 1)]
+    bound = st.sampled_from(edges or [0]) | st.integers(-(2**63), 2**63 - 1)
+    window = (
+        data.draw(antenna, label="antenna"), data.draw(bound, label="t_lo"),
+        data.draw(bound, label="t_hi"),
+    )
+    assert_window_parse(text, block_bytes, window)
+
+
+@pytest.mark.parametrize("antenna", ["absent", "\ud800"])
+def test_a_window_at_no_antenna_of_the_corpus_keeps_no_record(antenna):
+    # the lone surrogate's bytes end a line that is not UTF-8, so rejected
+    data = (CDR_HEADER + "\nA,B,out,1,L1\nB,C,in,2,L2\n").encode() + b"C,D,out,3,\xed\xa0\x80\n"
+    for block_bytes in (None, 7):
+        assert_window_parse(data, block_bytes, (antenna, -(2**63), 2**63 - 1))
+    (_, table), report = parse_cdr_file(
+        io.BytesIO(data), utc_offset_minutes=OFFSET, window=(antenna, -(2**63), 2**63 - 1)
+    )
+    assert len(table) == 0 and (report.accepted, report.rejected) == (2, 1)
+
+
+def test_a_window_without_an_offset_is_refused():
+    with pytest.raises(ValueError, match="a window is kept only beside hourly counts"):
+        parse_cdr_file(io.BytesIO(CDR_HEADER.encode() + b"\n"), window=("L1", 0, 1))
 
 
 # --- the column writer against the per-record reference ------------------------

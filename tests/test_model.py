@@ -14,6 +14,7 @@ from cdrevents.model import (
     Direction,
     HourlyCounts,
     build_contact_graph,
+    local_hours,
     parse_iso_date,
 )
 from helpers import IN, OUT, rec
@@ -28,6 +29,12 @@ def local_ts(day, hour=0, minute=0, second=0):
 
 def calendar_hour(week, dow, hour):
     return week * 168 + dow * 24 + hour
+
+
+def hours_in(cal, timestamps):
+    """The calendar hour of an epoch timestamp, or of each one in an int64
+    array, as ``HourlyCounts.calendar_hours`` places a cell's local hour."""
+    return local_hours(timestamps, cal.utc_offset_minutes) - cal.first_local_hour
 
 
 # --- records --------------------------------------------------------------
@@ -126,17 +133,17 @@ def test_edges_bounded_by_distinct_pairs(records):
 
 
 def test_slot_maps_day_boundaries():
-    assert CAL.hours(local_ts(0, 23, 59, 59)) == calendar_hour(0, 0, 23)
-    assert CAL.hours(local_ts(1, 0, 0, 0)) == calendar_hour(0, 1, 0)
+    assert hours_in(CAL, local_ts(0, 23, 59, 59)) == calendar_hour(0, 0, 23)
+    assert hours_in(CAL, local_ts(1, 0, 0, 0)) == calendar_hour(0, 1, 0)
     # week rollover
-    assert CAL.hours(local_ts(6, 23, 59, 59)) == calendar_hour(0, 6, 23)
-    assert CAL.hours(local_ts(7, 0, 0, 0)) == calendar_hour(1, 0, 0)
+    assert hours_in(CAL, local_ts(6, 23, 59, 59)) == calendar_hour(0, 6, 23)
+    assert hours_in(CAL, local_ts(7, 0, 0, 0)) == calendar_hour(1, 0, 0)
 
 
 def test_slot_rejects_out_of_range():
-    assert not CAL.contains(T0 - 1) and CAL.hours(T0 - 1) == -1
+    assert not CAL.contains(T0 - 1) and hours_in(CAL, T0 - 1) == -1
     # first instant past week 2
-    assert not CAL.contains(local_ts(21)) and CAL.hours(local_ts(21)) == CAL.n_hours
+    assert not CAL.contains(local_ts(21)) and hours_in(CAL, local_ts(21)) == CAL.n_hours
     assert CAL.contains(T0) and CAL.contains(local_ts(21) - 1)
 
 
@@ -144,9 +151,9 @@ def test_offset_shifts_slot():
     utc_midnight = dt.date(2012, 1, 2).toordinal() - dt.date(1970, 1, 1).toordinal()
     utc_midnight *= 86400
     # at UTC midnight, local (-03:00) time is still the previous day 21:00
-    assert not CAL.contains(utc_midnight) and CAL.hours(utc_midnight) == -3
+    assert not CAL.contains(utc_midnight) and hours_in(CAL, utc_midnight) == -3
     assert CAL.contains(utc_midnight + 3 * 3600)
-    assert CAL.hours(utc_midnight + 3 * 3600) == calendar_hour(0, 0, 0)
+    assert hours_in(CAL, utc_midnight + 3 * 3600) == calendar_hour(0, 0, 0)
 
 
 def test_date_round_trip():
@@ -216,8 +223,8 @@ def test_parse_iso_date_reads_yyyy_mm_dd():
 
 def test_window_interval_matches_slots():
     t_lo, t_hi = CAL.window_interval(1, 2, 18, 22)
-    assert CAL.hours(t_lo) == calendar_hour(1, 2, 18)
-    assert CAL.hours(t_hi - 1) == calendar_hour(1, 2, 21)
+    assert hours_in(CAL, t_lo) == calendar_hour(1, 2, 18)
+    assert hours_in(CAL, t_hi - 1) == calendar_hour(1, 2, 21)
     assert t_hi - t_lo == 4 * 3600
 
 
@@ -231,24 +238,24 @@ def test_hours_count_local_hours_from_week_zero(offset, epoch_start, seconds):
     ts = cal.start_epoch_seconds + seconds
     local = dt.datetime.fromtimestamp(ts, dt.timezone(dt.timedelta(minutes=offset)))
     days = (local.date() - epoch_start).days
-    assert cal.hours(ts) == days * 24 + local.hour
-    assert cal.hours(np.array([ts], dtype=np.int64)).tolist() == [cal.hours(ts)]
+    assert hours_in(cal, ts) == days * 24 + local.hour
+    assert hours_in(cal, np.array([ts], dtype=np.int64)).tolist() == [hours_in(cal, ts)]
     assert cal.contains(ts)
 
 
 INT64_EXTREMES = (-(2**63), 2**63 - 1)
 
 
-# week 0 before 1970 makes the subtraction in hours wrap at the top extreme,
-# after 1970 at the bottom one
+# a subtraction of week 0's start in seconds would wrap at the top extreme
+# with week 0 before 1970, and at the bottom one after 1970
 @pytest.mark.parametrize("epoch_start", [dt.date(1960, 1, 4), dt.date(2012, 1, 2)])
 def test_int64_extremes_fall_outside_the_calendar(epoch_start):
     cal = DatasetCalendar(epoch_start, 3, -180)
-    hours = cal.hours(np.array(INT64_EXTREMES, dtype=np.int64))
+    hours = hours_in(cal, np.array(INT64_EXTREMES, dtype=np.int64))
     assert ((hours < 0) | (hours >= cal.n_hours)).all()
     for ts in INT64_EXTREMES:
         assert not cal.contains(ts)
-        assert not 0 <= cal.hours(ts) < cal.n_hours
+        assert not 0 <= hours_in(cal, ts) < cal.n_hours
     edges = (cal.start_epoch_seconds, cal.end_epoch_seconds - 1, cal.end_epoch_seconds)
     stamps = np.array(INT64_EXTREMES + edges, dtype=np.int64)
     assert cal.contains(stamps).tolist() == [False, False, True, True, False]
