@@ -34,10 +34,11 @@ _POWERS_OF_TEN = np.array([10**k for k in range(20)], dtype=np.uint64)
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # numbers of up to 18 digits fit int64, so they are read with int64 arithmetic
 _FIXED_WIDTH_DIGITS = 18
-# the str.splitlines line breaks other than "\n", the six ASCII ones first,
-# as text and as UTF-8
+# the str.splitlines line breaks other than "\n", as text, and in UTF-8
+# after CRLF; no break's bytes occur inside another's, so the bytes split
+# as the text decoded with surrogateescape does
 _OTHER_BREAK_CHARS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_OTHER_BREAKS = tuple(c.encode() for c in _OTHER_BREAK_CHARS)
+_OTHER_BREAKS = (b"\r\n",) + tuple(c.encode() for c in _OTHER_BREAK_CHARS)
 
 # why a line is rejected, in the order the checks apply
 _UTF8, _FIELDS, _DIRECTION, _TIMESTAMP, _SELF_CALL, _EMPTY = range(1, 7)
@@ -61,34 +62,48 @@ class IngestReport:
     first_errors: list[tuple[int, str]] = field(default_factory=list)
 
 
-def _blocks(stream: IO[bytes]) -> Iterator[bytes]:
-    """The stream in blocks of whole lines with every line break rewritten
-    to "\n", each followed by ``_PAD``.  A block ends after the last "\n" of
-    a read of ``_BLOCK_BYTES``, so a longer line is read whole, or at the end
-    of the stream.  Bytes that are not UTF-8 are kept as they are."""
-    pending: list[bytes] = []
-    at_end = False
-    while not at_end:
+def _blocks(stream: IO[bytes]) -> Iterator[tuple[bytearray, int]]:
+    """The data lines of a CDR stream in blocks, each with the line number
+    of its first line; raises IngestError if the header line is missing or
+    not ``CDR_HEADER``.
+
+    A block is one ``stream.readinto`` of ``_BLOCK_BYTES`` into a buffer of
+    its own, finished in place by ``stream.readline``, so an unbuffered raw
+    stream reads each block's last line a byte at a time.  Every line break
+    ``str.splitlines`` knows is rewritten to "\n" as bytes, so bytes that
+    are not UTF-8 are kept as they are; every line ends in "\n" and the
+    block in ``_PAD``.  The reader drops each block once it is yielded."""
+    line_no = 1
+    while True:
+        data = bytearray(_BLOCK_BYTES)
         try:
-            piece = stream.read(_BLOCK_BYTES)
+            del data[stream.readinto(data) :]
+            if data and data[-1] != ord("\n"):
+                data += stream.readline()
         except OSError as exc:
             raise IngestError(f"unreadable stream: {exc}") from exc
-        at_end = not piece
-        cut = piece.rfind(b"\n") + 1
-        if not (cut or at_end):
-            pending.append(piece)
-            continue
-        data = b"".join(pending + [memoryview(piece)[:cut]])
-        pending = [piece[cut:]]
-        del piece
         if not data:
-            continue
-        breaks = _OTHER_BREAKS[:6] if data.isascii() else _OTHER_BREAKS
-        if any(brk in data for brk in breaks):
-            text = data.decode("utf-8", "surrogateescape")
-            data = ("\n".join(text.splitlines()) + "\n").encode("utf-8", "surrogateescape")
+            break
+        for brk in _OTHER_BREAKS:
+            if brk[:1] in data:  # a cheap one-byte scan
+                data = data.replace(brk, b"\n")
+        if data[-1] != ord("\n"):
+            data += b"\n"
+        if line_no == 1:
+            header = data[: data.find(b"\n")]
+            if header != CDR_HEADER.encode():
+                raise IngestError(f"bad CDR header: {header.decode('utf-8', 'backslashreplace')!r}")
+            del data[: len(header) + 1]
+            line_no = 2
         data += _PAD
-        yield data
+        yield data, line_no
+        # counted in numpy a sixteenth at a time, so that the mask stays
+        # small: bytearray.count is a byte loop, several times slower
+        pieces = np.array_split(np.frombuffer(data, dtype=np.uint8), 16)
+        line_no += int(sum(np.count_nonzero(piece == ord("\n")) for piece in pieces))
+        del pieces, data
+    if line_no == 1:
+        raise IngestError("empty CDR stream (missing header)")
 
 
 def _timestamps(
@@ -161,7 +176,7 @@ def _encode(data: bytes, starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarr
     n = len(starts)
     n_words = max(1, -(-int(lens.max(initial=0)) // 8))
     if n_words > 1 and (n_words * 8 * n > len(data) or n_words > n):
-        fields = [data[s : s + k] for s, k in zip(starts.tolist(), lens.tolist())]
+        fields = [bytes(data[s : s + k]) for s, k in zip(starts.tolist(), lens.tolist())]
         code_of = {value: i for i, value in enumerate(sorted(set(fields)))}
         codes = np.fromiter(map(code_of.__getitem__, fields), dtype=np.int32, count=n)
         firsts = np.empty(len(code_of), dtype=np.int64)
@@ -363,14 +378,13 @@ class _Block(NamedTuple):
     antennas: tuple[np.ndarray, np.ndarray, np.ndarray]  # (buf, starts, lens), sorted
     user_at: tuple[np.ndarray, np.ndarray]  # located and other fields' starts
     user_lens: tuple[np.ndarray, np.ndarray]  # and their lengths
-    n_lines: int
 
 
 def _parse_lines(
     data: bytes, line_no: int, report: IngestReport, wanted: np.ndarray | None = None
 ) -> _Block:
-    """Parse a block of whole data lines followed by ``_PAD``, the first
-    line being line ``line_no`` of the stream, into ``report`` and the
+    """Parse a block of lines ending in "\n" and followed by ``_PAD``, the
+    first line being line ``line_no`` of the stream, into ``report`` and the
     columns of its accepted lines.  Users are checked but not encoded.
 
     Given ``wanted``, the sorted ``_user_keys`` of some users closed by the
@@ -381,8 +395,6 @@ def _parse_lines(
     size = len(data) - len(_PAD)
     offset = np.int32 if size < 2**31 else np.int64
     ends = np.flatnonzero(buf == ord("\n")).astype(offset)
-    if size and data[size - 1] != ord("\n"):
-        ends = np.append(ends, offset(size))
     starts = np.empty_like(ends)
     starts[:1] = 0
     starts[1:] = ends[:-1] + 1
@@ -457,7 +469,7 @@ def _parse_lines(
         report.first_errors.append((line_no + i, _reason(int(reason[i]), line)))
     return _Block(
         data, timestamp[keep], outgoing[keep], antenna[keep], antennas,
-        (at[0][keep], at[1][keep]), (lens[0][keep], lens[1][keep]), len(starts),
+        (at[0][keep], at[1][keep]), (lens[0][keep], lens[1][keep]),
     )
 
 
@@ -488,23 +500,6 @@ class _Rows:
         return CallTable(timestamp, located, other, outgoing, antenna, users, antennas)
 
 
-def _data_blocks(stream: IO[bytes]) -> Iterator[bytes]:
-    """The blocks of ``_blocks`` after the header line, at least one; raises
-    IngestError if the header is missing or not ``CDR_HEADER``."""
-    blocks = _blocks(stream)
-    data = next(blocks, _PAD)
-    if data == _PAD:
-        raise IngestError("empty CDR stream (missing header)")
-    header_end = data.find(b"\n")
-    header = data[: len(data) - len(_PAD) if header_end < 0 else header_end]
-    if header != CDR_HEADER.encode():
-        raise IngestError(f"bad CDR header: {header.decode('utf-8', 'backslashreplace')!r}")
-    data = data[header_end + 1 :] if header_end >= 0 else _PAD
-    yield data
-    del data
-    yield from blocks
-
-
 def _at_window(block: _Block, window: tuple[str, int, int]) -> np.ndarray:
     """Which accepted rows of the block are at antenna ``window[0]`` with a
     timestamp in ``[window[1], window[2])``."""
@@ -533,7 +528,10 @@ def parse_cdr_file(
     followed by ASCII digits with a value that fits int64, two different
     users and no empty identifier.
 
-    The stream is read in blocks of 1 MiB of whole lines.  Each block is
+    The stream is read in blocks: 1 MiB by ``stream.readinto``, then the
+    rest of the last line by ``stream.readline``, so an unbuffered raw
+    stream reads that rest a byte at a time (``open(path, "rb")`` is
+    buffered).  Each block is
     parsed into columns and its own vocabularies, which are merged at the
     end, so memory stays about the finished table plus one block.
 
@@ -551,15 +549,13 @@ def parse_cdr_file(
     report = IngestReport()
     cells = None if utc_offset_minutes is None else _Cells(utc_offset_minutes)
     rows = None if cells is not None and window is None else _Rows()
-    line_no = 2
-    for data in _data_blocks(stream):
+    for data, line_no in _blocks(stream):
         block = _parse_lines(data, line_no, report)
         del data
         if cells is not None:
             cells.add(*block.antennas, block.antenna, block.timestamp)
         if rows is not None:
             rows.add(block, slice(None) if window is None else _at_window(block, window))
-        line_no += block.n_lines
         # the block's columns and identifiers go before the next block is read
         del block
     if cells is None:
@@ -573,8 +569,8 @@ def parse_touching(stream: IO[bytes], users: Collection[str]) -> CallTable:
     """The accepted records of a CDR byte stream with one of ``users`` on
     either side, as ``parse_cdr_file`` reads them.
 
-    The stream is read in blocks as ``parse_cdr_file`` reads it, and each
-    block is parsed once.  Only the lines whose located or other field has
+    The stream is read in blocks as ``parse_cdr_file`` reads it, with the
+    same line numbers, and each block is parsed once.  Only the lines whose located or other field has
     the key (``_user_keys``) of one of ``users`` are parsed; the other lines
     go unparsed and unreported.  The records are then kept by their users,
     so a line whose key is shared with a user is parsed and dropped, and no
@@ -588,8 +584,8 @@ def parse_touching(stream: IO[bytes], users: Collection[str]) -> CallTable:
     wanted = np.append(np.sort(wanted), np.uint64(2**64 - 1))
     del names, lens
     rows = _Rows()
-    for data in _data_blocks(stream):
-        rows.add(_parse_lines(data, 0, IngestReport(), wanted))
+    for data, line_no in _blocks(stream):
+        rows.add(_parse_lines(data, line_no, IngestReport(), wanted))
         del data
     return rows.table().touching(users)
 

@@ -45,3 +45,25 @@ def test_refuses_a_directory_that_is_not_a_checkout(tmp_path, capsys):
             same_outputs.main([str(base), str(change)])
         assert exit_info.value.code == 2
         assert f"{other} is not a cdrevents checkout" in capsys.readouterr().err
+
+
+def test_the_crlf_case_gives_the_readme_case_s_outputs(tmp_path):
+    # the README corpus with CRLF line breaks: every command succeeds and
+    # prints and writes what it does on the corpus as generated
+    by_name = {case[0]: case for case in same_outputs.cases([])}
+    assert by_name["readme-crlf"][1:4] == by_name["readme"][1:4]
+    assert (by_name["readme"][4], by_name["readme-crlf"][4]) == (False, True)
+    sides = []
+    for name in ("readme", "readme-crlf"):
+        case_dir = tmp_path / name
+        results = same_outputs.run_case(ROOT, case_dir, *by_name[name][1:])
+        sides.append((results, same_outputs.files(case_dir)))
+    (results, files), (crlf_results, crlf_files) = sides
+    assert [command.split()[0] for command in crlf_results] == [
+        "generate", "detect", "report", "subgraph", "infer"
+    ]
+    assert all(status == 0 for status, _, _ in crlf_results.values())
+    assert crlf_results == results
+    cdr, crlf_cdr = files.pop("corpus/cdr.csv"), crlf_files.pop("corpus/cdr.csv")
+    assert crlf_cdr == cdr.replace(b"\n", b"\r\n") and crlf_cdr.count(b"\r\n") > 1
+    assert crlf_files == files

@@ -5,8 +5,9 @@ Usage:
 
 BASE and CHANGE are source checkouts, say ``git archive`` copies of two
 commits.  The cases are each workload of ``cdrbench/corpus.py`` at each
-seed (default 7), and the config of the README's CLI walkthrough.  In each
-case, each checkout runs ``generate`` (a workload's corpus then gets
+seed (default 7), and the config of the README's CLI walkthrough, once as
+generated and once with every line of its ``cdr.csv`` ending in CRLF.  In
+each case, each checkout runs ``generate`` (a workload's corpus then gets
 ``corpus.extra_lines``), ``detect --dump-index`` and ``report`` on the first
 planted event's antenna, and ``subgraph`` and ``infer`` for every planted
 event.  A case runs in a directory of its own on each side, laid out the
@@ -46,19 +47,26 @@ def readme_config() -> dict:
     return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
 
 
-def cases(seeds: list[int]) -> list[tuple[str, dict, corpus.Shape | None, int]]:
-    """(name, generator config, workload shape or None, seed) of each case."""
+def cases(seeds: list[int]) -> list[tuple[str, dict, corpus.Shape | None, int, bool]]:
+    """(name, generator config, workload shape or None, seed, whether the
+    CDR's lines end in CRLF) of each case."""
     found = [
-        (f"{name}-{seed}", corpus.generator_config(shape, seed), shape, seed)
+        (f"{name}-{seed}", corpus.generator_config(shape, seed), shape, seed, False)
         for seed in seeds
         for name, shape in corpus.WORKLOADS.items()
     ]
     config = readme_config()
-    return found + [("readme", config, None, config["seed"])]
+    return found + [
+        ("readme", config, None, config["seed"], False),
+        ("readme-crlf", config, None, config["seed"], True),
+    ]
 
 
-def run_case(checkout: Path, case_dir: Path, config: dict, shape, seed: int) -> dict:
-    """Run the case's commands with ``checkout``'s program in ``case_dir``;
+def run_case(
+    checkout: Path, case_dir: Path, config: dict, shape, seed: int, crlf: bool
+) -> dict:
+    """Run the case's commands with ``checkout``'s program in ``case_dir``,
+    after ending every line of the generated CDR in CRLF if ``crlf``;
     returns (exit status, stdout, stderr) by command line."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     results: dict[str, tuple[int, bytes, bytes]] = {}
@@ -78,6 +86,9 @@ def run_case(checkout: Path, case_dir: Path, config: dict, shape, seed: int) -> 
     corpus_dir = case_dir / "corpus"
     if shape is not None:
         corpus.append_lines(corpus_dir / "cdr.csv", corpus.extra_lines(shape, seed, corpus_dir))
+    if crlf:
+        cdr = corpus_dir / "cdr.csv"
+        cdr.write_bytes(cdr.read_bytes().replace(b"\n", b"\r\n"))
     events = corpus.read_truth(corpus_dir / "truth.csv")
     inputs = ("corpus/cdr.csv", "corpus/clients.txt")
     dump = ("--dump-index", events[0].antenna) if events else ()
@@ -124,11 +135,11 @@ def main(argv: list[str]) -> int:
     work = args.work or Path(tempfile.mkdtemp(prefix="same_outputs."))
     n_differences = 0
     try:
-        for name, config, shape, seed in cases(args.seeds):
+        for name, config, shape, seed, crlf in cases(args.seeds):
             sides = []
             for side, checkout in (("base", args.base), ("change", args.change)):
                 case_dir = work / side / name
-                results = run_case(checkout.resolve(), case_dir, config, shape, seed)
+                results = run_case(checkout.resolve(), case_dir, config, shape, seed, crlf)
                 sides.append((results, files(case_dir)))
             (base_results, base_files), (change_results, change_files) = sides
             found = differences(base_results, change_results, "command")
