@@ -2,10 +2,10 @@
 
 Subcommands:
   generate   synthesize a corpus (CDR, roster, ground truth) from a JSON config
-  detect     flag high-index hours per antenna and write the event list
-  report     dump one antenna's full index series for plotting
-  subgraph   induced contact subgraph of attenders at one antenna/day/window
-  infer      attendance-probability tables and linear fit for one window
+  detect     flag high-index hours per antenna and write the event list,
+             and with --dump-index one antenna's full index series
+  infer      induced contact subgraph of the attenders at one
+             antenna/day/window, attendance-probability tables and linear fit
 
 All outputs are plain delimited text written atomically (temp file + rename),
 and every command is deterministic given identical inputs and flags.
@@ -177,24 +177,6 @@ def _calendar_for(records, args):
     return calendar, in_range
 
 
-def _index_series(args):
-    """The calendar derived from the CDR file, and the event index of the
-    calls inside it, read as hourly counts."""
-    from . import activity
-
-    calendar, in_range = _calendar_for(_load_corpus(args.cdr, args.utc_offset), args)
-    n_antennas = np.count_nonzero(np.bincount(in_range.antenna))
-    try:
-        cube = activity.aggregate(in_range, calendar)
-        del in_range  # the index reads only the cube
-        return calendar, activity.event_index(cube)
-    except MemoryError:
-        raise CliError(
-            f"the derived calendar of {calendar.n_weeks} weeks and {n_antennas} "
-            "antennas gives an activity grid too large for memory"
-        ) from None
-
-
 def cmd_generate(args) -> int:
     from . import synth
 
@@ -234,7 +216,18 @@ def cmd_detect(args) -> int:
     if not 0 < args.percentile <= 1:
         raise CliError(f"--percentile must be in (0, 1], got {args.percentile}")
     # the activity layer reads only calls per antenna and hour, and no roster
-    calendar, series = _index_series(args)
+    calendar, in_range = _calendar_for(_load_corpus(args.cdr, args.utc_offset), args)
+    n_antennas = np.count_nonzero(np.bincount(in_range.antenna))
+    try:
+        cube = activity.aggregate(in_range, calendar)
+        del in_range  # the index reads only the cube
+        series = activity.event_index(cube)
+        del cube  # detection reads only the index
+    except MemoryError:
+        raise CliError(
+            f"the derived calendar of {calendar.n_weeks} weeks and {n_antennas} "
+            "antennas gives an activity grid too large for memory"
+        ) from None
     events = activity.detect_events(series, args.percentile)
 
     if args.dump_index is not None:
@@ -268,16 +261,8 @@ def _write_index_dump(out_dir: Path, series, antenna: str) -> None:
     write_lines(out_dir / f"index_{antenna}.csv", lines)
 
 
-def cmd_report(args) -> int:
-    _check_inputs(args.cdr)
-    calendar, series = _index_series(args)
-    _write_index_dump(args.out, series, args.antenna)
-    print(f"wrote index series for {args.antenna} ({calendar.n_weeks} weeks)")
-    return 0
-
-
 def _window_analysis(args):
-    """Shared prep for subgraph/infer: attenders and the induced subgraph.
+    """``infer``'s contact graph and the attenders' induced subgraph.
 
     The CDR file is read twice.  The first pass counts its calls per hour,
     for the calendar, and keeps the records inside the window, for the
@@ -310,36 +295,23 @@ def _window_analysis(args):
     return graph, subgraph
 
 
-def _summary_lines(subgraph) -> list[str]:
-    from . import social
+def cmd_infer(args) -> int:
+    from . import inference, social
 
+    _check_inputs(args.cdr, args.roster)
+    graph, subgraph = _window_analysis(args)
+    # the subgraph files come before the fit, so a window too small to fit
+    # still leaves them
+    edge_lines = ["u,v"] + [f"{u},{v}" for u, v in sorted(subgraph.edges)]
+    write_lines(args.out / "subgraph_edges.csv", edge_lines)
     histogram = social.component_size_histogram(subgraph)
     max_component = max(histogram) if histogram else 0
-    return [
+    summary_lines = [
         SUMMARY_HEADER,
         f"{len(subgraph.attenders)},{len(subgraph.social_attenders)},"
         f"{len(subgraph.singlets)},{max_component}",
     ]
-
-
-def cmd_subgraph(args) -> int:
-    _check_inputs(args.cdr, args.roster)
-    _, subgraph = _window_analysis(args)
-    edge_lines = ["u,v"] + [f"{u},{v}" for u, v in sorted(subgraph.edges)]
-    write_lines(args.out / "subgraph_edges.csv", edge_lines)
-    write_lines(args.out / "subgraph_summary.csv", _summary_lines(subgraph))
-    print(
-        f"{len(subgraph.attenders)} attenders, "
-        f"{len(subgraph.social_attenders)} social, {len(subgraph.singlets)} singlets"
-    )
-    return 0
-
-
-def cmd_infer(args) -> int:
-    from . import inference
-
-    _check_inputs(args.cdr, args.roster)
-    graph, subgraph = _window_analysis(args)
+    write_lines(args.out / "subgraph_summary.csv", summary_lines)
     table = inference.attendance_probability(graph, subgraph.attenders)
     cumulative = table.cumulative()
     points = table.points(args.min_denominator)
@@ -361,7 +333,6 @@ def cmd_infer(args) -> int:
         FIT_HEADER,
         f"{fmt(fit.slope)},{fmt(fit.intercept)},{fmt(fit.r)},{len(points)}",
     ]
-    write_lines(args.out / "subgraph_summary.csv", _summary_lines(subgraph))
     write_lines(args.out / "attendance.csv", attendance_lines)
     write_lines(args.out / "cumulative.csv", cumulative_lines)
     write_lines(args.out / "fit.csv", fit_lines)
@@ -380,10 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, roster=True, dated=False):
+    def add_common(p, dated=False):
         p.add_argument("cdr", type=Path, help="CDR file")
-        if roster:
-            p.add_argument("roster", type=Path, help="client roster file")
+        p.add_argument("roster", type=Path, help="client roster file")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument(
             "--utc-offset",
@@ -431,16 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_detect.set_defaults(func=cmd_detect)
 
-    p_report = sub.add_parser("report", help="dump one antenna's index series")
-    add_common(p_report, roster=False)
-    p_report.add_argument("--antenna", required=True, help="antenna identifier")
-    p_report.set_defaults(func=cmd_report)
-
-    p_sub = sub.add_parser("subgraph", help="induced attender subgraph for one window")
-    add_common(p_sub, dated=True)
-    p_sub.set_defaults(func=cmd_subgraph)
-
-    p_infer = sub.add_parser("infer", help="attendance probability and linear fit")
+    p_infer = sub.add_parser(
+        "infer", help="attender subgraph, attendance probability and linear fit for one window"
+    )
     add_common(p_infer, dated=True)
     p_infer.add_argument(
         "--min-denominator",

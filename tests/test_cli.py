@@ -308,13 +308,10 @@ def test_detect_rejects_timestamp_beyond_int64(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# --- report ---------------------------------------------------------------------
-
-
 def test_report_dumps_index(tmp_path):
-    cdr, _, _ = generate_corpus(tmp_path, DETECT_CONFIG)
+    cdr, roster, _ = generate_corpus(tmp_path, DETECT_CONFIG)
     out = tmp_path / "rep"
-    status = main(["report", str(cdr), "--antenna", "A000", "--out", str(out)])
+    status = main(["detect", str(cdr), str(roster), "--dump-index", "A000", "--out", str(out)])
     assert status == 0
     lines = (out / "index_A000.csv").read_text().splitlines()
     values = [float(line.split(",")[3]) for line in lines[1:]]
@@ -325,7 +322,8 @@ def test_report_dumps_index(tmp_path):
 def test_detect_and_report_read_shuffled_lines_like_sorted_ones(tmp_path, capsys, monkeypatch):
     # blocks of 4 KiB of shuffled lines each span the whole calendar, so the
     # parse folds them by sorting, not binning, and merges cells of one hour
-    # read in many blocks; a partial week at the end is dropped either way
+    # read in many blocks; a partial week at the end is dropped either way.
+    # The roster comes after --out, which the parser must keep accepting
     cdr, roster, _ = generate_corpus(tmp_path, DETECT_CONFIG)
     with open(cdr, "a") as stream:
         stream.write(f"u000001,u000002,out,{1325473200 + 6 * 7 * 86400 + 5},A002\n")
@@ -339,14 +337,14 @@ def test_detect_and_report_read_shuffled_lines_like_sorted_ones(tmp_path, capsys
     for source in (cdr, shuffled):
         out = tmp_path / source.stem
         args = [str(source), "--out", str(out)]
-        assert main(["detect", *args, str(roster), "--dump-index", "A001"]) == 0
-        assert main(["report", *args, "--antenna", "A002"]) == 0
+        for antenna in ("A001", "A002"):
+            assert main(["detect", *args, str(roster), "--dump-index", antenna]) == 0
         files = [(out / name).read_bytes() for name in ("events.csv", "index_A001.csv", "index_A002.csv")]
         outputs.append((files, capsys.readouterr()))
     assert outputs[0] == outputs[1]
 
 
-# --- subgraph and infer -----------------------------------------------------------
+# --- infer ---------------------------------------------------------------------
 
 
 def event_date(start="2012-01-02", week=1, dow=4):
@@ -360,10 +358,11 @@ def test_subgraph_outputs(tmp_path):
     cdr, roster, _ = generate_corpus(tmp_path, SOCIAL_CONFIG)
     out = tmp_path / "sub"
     status = main(
-        ["subgraph", str(cdr), str(roster), "--out", str(out),
+        ["infer", str(cdr), str(roster), "--out", str(out),
          "--antenna", "A001", "--date", event_date()]
     )
     assert status == 0
+    assert sorted(path.name for path in out.iterdir()) == sorted(WINDOW_OUTPUTS)
     edges = (out / "subgraph_edges.csv").read_text().splitlines()
     assert edges[0] == "u,v"
     assert len(edges) > 20
@@ -450,14 +449,14 @@ def test_utc_offset_flag_parses(tmp_path):
         main(["detect", str(cdr), str(roster), "--utc-offset", "nonsense"])
 
 
-WINDOW_OUTPUTS = {
-    "subgraph": ["subgraph_edges.csv", "subgraph_summary.csv"],
-    "infer": ["subgraph_summary.csv", "attendance.csv", "cumulative.csv", "fit.csv"],
-}
+# every file infer writes, the two subgraph files first
+WINDOW_OUTPUTS = [
+    "subgraph_edges.csv", "subgraph_summary.csv", "attendance.csv", "cumulative.csv", "fit.csv"
+]
 
 
 def library_answers(cdr, roster, antenna, date, window=(18, 22), min_denominator=5):
-    """The lines of every window-command output, derived by the library from
+    """The lines of every ``infer`` output, derived by the library from
     the full parse of the CDR file and the full contact graph; and that
     graph, the attenders and the clients."""
     from cdrevents import (
@@ -516,15 +515,12 @@ def library_answers(cdr, roster, antenna, date, window=(18, 22), min_denominator
     return answers, graph, present, clients
 
 
-def assert_window_commands_give(answers, cdr, roster, out, flags, min_denominator=5):
-    """``subgraph`` and ``infer`` with these flags write ``answers``."""
-    for command, names in WINDOW_OUTPUTS.items():
-        args = [command, str(cdr), str(roster), "--out", str(out / command), *flags]
-        if command == "infer":
-            args += ["--min-denominator", str(min_denominator)]
-        assert main(args) == 0
-        for name in names:
-            assert (out / command / name).read_text(encoding="utf-8").splitlines() == answers[name]
+def assert_infer_gives(answers, cdr, roster, out, flags, min_denominator=5):
+    """``infer`` with these flags writes ``answers``."""
+    args = ["infer", str(cdr), str(roster), "--out", str(out), *flags]
+    assert main([*args, "--min-denominator", str(min_denominator)]) == 0
+    for name in WINDOW_OUTPUTS:
+        assert (out / name).read_text(encoding="utf-8").splitlines() == answers[name]
 
 
 def test_window_commands_match_full_graph_library_answers(tmp_path):
@@ -540,7 +536,7 @@ def test_window_commands_match_full_graph_library_answers(tmp_path):
     assert any(v not in clients for u in present for v in graph.neighbors(u))
     assert len(answers["subgraph_edges.csv"]) > 20
 
-    assert_window_commands_give(answers, cdr, roster, tmp_path, ["--antenna", "A001", "--date", date])
+    assert_infer_gives(answers, cdr, roster, tmp_path / "out", ["--antenna", "A001", "--date", date])
 
 
 # identifiers whose uint64 words and lengths tell them apart only in part:
@@ -606,7 +602,7 @@ def test_window_commands_match_the_library_on_hostile_identifiers(
     assert "late" not in graph.nodes and "tail" in graph.nodes
     assert graph.neighbors(NOT_ATTENDING[3]) == {ATTENDING[3], "bystander"}
     flags = ["--antenna", "W", "--date", "2012-01-06"]
-    assert_window_commands_give(answers, cdr, roster, tmp_path / "out", flags, min_denominator=1)
+    assert_infer_gives(answers, cdr, roster, tmp_path / "out", flags, min_denominator=1)
 
 
 def test_calendar_keeps_both_edges_and_drops_the_end_instant(tmp_path, capsys):
@@ -618,14 +614,15 @@ def test_calendar_keeps_both_edges_and_drops_the_end_instant(tmp_path, capsys):
 
     week = DatasetCalendar(dt.date(2012, 1, 2), 1, -180)
     lo, hi = week.start_epoch_seconds, week.end_epoch_seconds
-    cdr = tmp_path / "cdr.csv"
+    cdr, roster = tmp_path / "cdr.csv", tmp_path / "clients.txt"
     with open(cdr, "wb") as stream:
         write_cdr_file(
             [CallRecord("a", "b", Direction.OUTGOING, ts, "L1") for ts in (lo, hi - 1, hi)],
             stream,
         )
+    roster.write_text("a\n")
     out = tmp_path / "rep"
-    assert main(["report", str(cdr), "--antenna", "L1", "--out", str(out)]) == 0
+    assert main(["detect", str(cdr), str(roster), "--dump-index", "L1", "--out", str(out)]) == 0
     assert "dropped 1 records outside the 1 whole calendar weeks" in capsys.readouterr().err
     rows = (out / "index_L1.csv").read_text().splitlines()[1:]
     assert len(rows) == 7 * 24
@@ -639,14 +636,13 @@ def test_far_future_timestamp_is_one_error_line_not_a_traceback(tmp_path, capsys
     cdr, roster, _ = generate_corpus(tmp_path, DETECT_CONFIG)
     with open(cdr, "a") as stream:
         stream.write("u001,u002,out,9000000000000000,A000\n")
-    for command in (["detect", str(cdr), str(roster)], ["report", str(cdr), "--antenna", "A000"]):
-        status = main([*command, "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert status == 1
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1
-        assert re.search(r"calendar of (\d{11}) weeks and 3 antennas", errors[0])
-        assert "Traceback" not in err
+    status = main(["detect", str(cdr), str(roster), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert status == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert re.search(r"calendar of (\d{11}) weeks and 3 antennas", errors[0])
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -767,14 +763,13 @@ def error_lines(err):
     return [line for line in err.splitlines() if line.startswith("error:")]
 
 
-@pytest.mark.parametrize("command", ["detect", "report", "infer"])
+@pytest.mark.parametrize("command", ["detect", "infer"])
 def test_a_timestamp_before_year_1_is_one_error_line(tmp_path, capsys, command):
     cdr, roster = tiny_corpus(tmp_path / "in")
     with open(cdr, "ab") as stream:
         stream.write(b"u0,v0,out,-9223372036854775808,A0\n")
     args = {
         "detect": ["detect", str(cdr), str(roster)],
-        "report": ["report", str(cdr), "--antenna", "A0"],
         "infer": ["infer", str(cdr), str(roster), "--antenna", "A0", "--date", "2012-01-03"],
     }[command]
     assert main([*args, "--out", str(tmp_path / "out")]) == 1
@@ -786,8 +781,7 @@ def test_a_timestamp_before_year_1_is_one_error_line(tmp_path, capsys, command):
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["detect", "report"])
-def test_an_index_dump_never_writes_outside_out(tmp_path, capsys, command):
+def test_an_index_dump_never_writes_outside_out(tmp_path, capsys):
     antenna = "x/../../escaped"
     start = DatasetCalendar(dt.date(2012, 1, 2), 1, -180).start_epoch_seconds
     cdr, roster = tmp_path / "cdr.csv", tmp_path / "clients.txt"
@@ -798,12 +792,8 @@ def test_an_index_dump_never_writes_outside_out(tmp_path, capsys, command):
         write_cdr_file(records, stream)
     roster.write_text("a\n")
     out = tmp_path / "deep" / "out"
-    args = {
-        "detect": ["detect", str(cdr), str(roster), "--dump-index", antenna],
-        "report": ["report", str(cdr), "--antenna", antenna],
-    }[command]
     before = tree(tmp_path)
-    assert main([*args, "--out", str(out)]) == 1
+    assert main(["detect", str(cdr), str(roster), "--dump-index", antenna, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert len(error_lines(err)) == 1 and "'/'" in error_lines(err)[0]
     # nothing written at all: no events.csv, no index_x/, no escaped.csv
@@ -838,14 +828,13 @@ TINY_DATE = event_date(week=TINY_EVENT["week"], dow=TINY_EVENT["dow"])
 
 
 @pytest.mark.parametrize("mutation", list(HOSTILE_INPUTS))
-@pytest.mark.parametrize("command", ["detect", "report", "infer"])
+@pytest.mark.parametrize("command", ["detect", "infer"])
 def test_a_hostile_input_exits_0_or_1_without_a_traceback(
     tmp_path, capsys, generated_tiny_corpus, command, mutation
 ):
     cdr, roster = mutated_copy(tmp_path, generated_tiny_corpus, mutation)
     args = {
         "detect": ["detect", str(cdr), str(roster)],
-        "report": ["report", str(cdr), "--antenna", "A001"],
         "infer": ["infer", str(cdr), str(roster), "--antenna", "A001", "--date", TINY_DATE],
     }[command]
     status = main([*args, "--out", str(tmp_path / "out")])
@@ -910,22 +899,23 @@ def test_infer_with_fewer_than_two_k_values_left_is_one_error_line(
         "error: cannot fit: need at least 2 points with 2 distinct k values "
         f"(after --min-denominator {denominators[-1]})"
     ]
-    assert "Traceback" not in err and not out.exists()
+    assert "Traceback" not in err
+    # the subgraph files come before the fit, and nothing after them
+    answers = library_answers(cdr, roster, "A001", TINY_DATE, min_denominator=1)[0]
+    assert sorted(path.name for path in out.iterdir()) == WINDOW_OUTPUTS[:2]
+    for name in WINDOW_OUTPUTS[:2]:
+        assert (out / name).read_text(encoding="utf-8").splitlines() == answers[name]
 
 
 # --- imports ---------------------------------------------------------------------
 
-# modules that only generate, subgraph and infer need
+# modules that only generate and infer need
 NOT_FOR_DETECT = ["cdrevents.synth", "cdrevents.social", "cdrevents.inference", "fractions", "json"]
 
 
-@pytest.mark.parametrize("command", ["detect", "report"])
-def test_detect_and_report_import_only_their_own_layers(tmp_path, command):
+def test_detect_imports_only_its_own_layers(tmp_path):
     cdr, roster = tiny_corpus(tmp_path)
-    args = {
-        "detect": ["detect", str(cdr), str(roster), "--dump-index", "A0"],
-        "report": ["report", str(cdr), "--antenna", "A0"],
-    }[command]
+    args = ["detect", str(cdr), str(roster), "--dump-index", "A0"]
     # -X importtime lists on stderr each module the process imports
     proc = run_cli("-X", "importtime", "-m", "cdrevents.cli", *args, "--out", "out", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -740,9 +740,9 @@ def window_corpus(directory, filler: int):
 
 
 def test_window_analysis_holds_the_attenders_rows_not_the_corpus(tmp_path):
-    # subgraph and infer read the CDR file twice, holding the hourly cells,
-    # the attenders' rows and one block: four times the rows that touch no
-    # attender raise their peak by less than one block (measured: 5.74 and
+    # infer reads the CDR file twice, holding the hourly cells, the
+    # attenders' rows and one block: four times the rows that touch no
+    # attender raise its peak by less than one block (measured: 5.74 and
     # 5.76 MiB on files of 5.1 and 20.4 MiB, where the parse into a table
     # peaked at 8.2 and 29.6 MiB)
     peaks, answers = [], []

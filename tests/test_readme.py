@@ -2,6 +2,7 @@
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 from cdrevents import CallTable, PlantedEvent
@@ -45,3 +46,25 @@ def test_walkthrough_config_is_read_as_documented():
     config = config_from_json(json.loads(block))
     assert (config.n_users, config.n_weeks, config.seed) == (20000, 6, 7)
     assert config.events == (PlantedEvent(2, 3, 5, 18, 22, 8.0, 400, 0.5),)
+
+
+def test_walkthrough_commands_run_and_write_the_files_they_name(tmp_path, monkeypatch):
+    # each `cdrevents` command of the bash block exits 0, and every file
+    # named after `# ->` is there afterwards
+    section = README.read_text(encoding="utf-8").split("## CLI walkthrough", 1)[1]
+    config = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    script = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    (tmp_path / "config.json").write_text(config, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        line for line in script.replace("\\\n", " ").splitlines()
+        if line.strip() and not line.startswith("#")
+    ]
+    named = [name for line in script.splitlines() if line.startswith("# ->")
+             for name in re.findall(r"[\w./-]+\.(?:csv|txt)", line)]
+    assert commands and named
+    for line in commands:
+        program, *args = shlex.split(line)
+        assert program == "cdrevents"
+        assert main(args) == 0, line
+    assert [name for name in named if not Path(name).is_file()] == []

@@ -8,10 +8,10 @@ commits.  The cases are each workload of ``cdrbench/corpus.py`` at each
 seed (default 7), and the config of the README's CLI walkthrough, once as
 generated and once with every line of its ``cdr.csv`` ending in CRLF.  In
 each case, each checkout runs ``generate`` (a workload's corpus then gets
-``corpus.extra_lines``), ``detect --dump-index`` and ``report`` on the first
-planted event's antenna, and ``subgraph`` and ``infer`` for every planted
-event.  A case runs in a directory of its own on each side, laid out the
-same way and named by relative paths, so that printed paths match, under
+``corpus.extra_lines``), ``detect --dump-index`` on the first planted
+event's antenna, and ``infer`` for every planted event.  A case runs in a
+directory of its own on each side, laid out the same way and named by
+relative paths, so that printed paths match, under
 ``PYTHONDONTWRITEBYTECODE=1``.
 
 The exit status, standard output and standard error of every command, and
@@ -93,12 +93,9 @@ def run_case(
     inputs = ("corpus/cdr.csv", "corpus/clients.txt")
     dump = ("--dump-index", events[0].antenna) if events else ()
     command("detect", *inputs, "--out", "detect", *dump)
-    if events:
-        command("report", inputs[0], "--out", "report", "--antenna", events[0].antenna)
     for i, event in enumerate(events):
         dated = ("--antenna", event.antenna, "--date", event.date.isoformat(),
                  "--window", f"{event.start_hour:02d}:{event.end_hour:02d}")
-        command("subgraph", *inputs, "--out", f"subgraph-{i}", *dated)
         command("infer", *inputs, "--out", f"infer-{i}", *dated)
     return results
 
