@@ -439,7 +439,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_join_offset_values(list(argv)))
     try:
         return args.func(args)
-    except (CliError, IngestError, CalendarRangeError) as exc:
+    except (CliError, IngestError, CalendarRangeError, OSError) as exc:
+        # an OSError here is an input that cannot be opened or read; an
+        # output that cannot be written is already a CliError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

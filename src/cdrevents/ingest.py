@@ -176,7 +176,7 @@ def _encode(data: bytes, starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarr
     n = len(starts)
     n_words = max(1, -(-int(lens.max(initial=0)) // 8))
     if n_words > 1 and (n_words * 8 * n > len(data) or n_words > n):
-        fields = [bytes(data[s : s + k]) for s, k in zip(starts.tolist(), lens.tolist())]
+        fields = _fields(data, starts, lens)
         code_of = {value: i for i, value in enumerate(sorted(set(fields)))}
         codes = np.fromiter(map(code_of.__getitem__, fields), dtype=np.int32, count=n)
         firsts = np.empty(len(code_of), dtype=np.int64)
@@ -206,6 +206,11 @@ def _encode(data: bytes, starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarr
     return codes, order[new]
 
 
+def _fields(data: bytes, starts: np.ndarray, lens: np.ndarray) -> list[bytes]:
+    """The byte fields ``data[starts : starts + lens]``."""
+    return [bytes(data[s : s + k]) for s, k in zip(starts.tolist(), lens.tolist())]
+
+
 def _spans(buf: np.ndarray, at: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The byte spans ``buf[at : at + lens]``, at least one, concatenated; a
     span past the end of ``buf`` repeats its last byte."""
@@ -213,19 +218,6 @@ def _spans(buf: np.ndarray, at: np.ndarray, lens: np.ndarray) -> np.ndarray:
     index = np.arange(ends[-1], dtype=at.dtype)
     index += np.repeat(at - (ends - lens), lens)
     return buf.take(index, mode="clip")
-
-
-def _gather_values(
-    buf: np.ndarray, starts: np.ndarray, lens: np.ndarray
-) -> tuple[str, ...]:
-    """Decode byte fields in one pass: they hold no line break, so they are
-    copied out with "\n" after each, decoded together and split."""
-    if not len(starts):
-        return ()
-    spans = lens.astype(np.int64) + 1
-    joined = _spans(buf, starts, spans)
-    joined[np.cumsum(spans) - 1] = ord("\n")
-    return tuple(joined.tobytes().decode().split("\n")[:-1])
 
 
 def _reason(code: int, line: bytes) -> str:
@@ -251,80 +243,49 @@ def _joined(pieces: list[np.ndarray]) -> np.ndarray:
     return joined
 
 
-def _remapped(entries: list[np.ndarray], pieces: list[np.ndarray]) -> np.ndarray:
-    """Code pieces, one per block, looked up in place among their block's
-    merged codes (see ``_Vocabulary.compact``), and joined."""
-    for block_entries, codes in zip(entries, pieces):
-        block_entries.take(codes, out=codes)
-    return _joined(pieces)
-
-
 class _Vocabulary:
-    """Blocks' sorted distinct identifiers, kept as bytes until merged, and
-    the code columns of each block's rows into them."""
+    """Identifiers as bytes, each with its code: the number of identifiers
+    added before it."""
 
-    def __init__(self, n_columns: int) -> None:
-        self.data: list[np.ndarray] = []
-        self.lens: list[np.ndarray] = []
-        self.columns: list[list[np.ndarray]] = [[] for _ in range(n_columns)]
+    def __init__(self) -> None:
+        self.code_of: dict[bytes, int] = {}
 
-    def add(self, buf: np.ndarray, starts: np.ndarray, lens: np.ndarray, *codes: np.ndarray) -> None:
-        """Add a block's distinct identifiers, ``buf[starts : starts + lens]``
-        in sorted order, and its code columns.  The bytes are copied, so
-        that the block can be freed."""
-        self.data.append(_spans(buf, starts, lens) if len(lens) else np.zeros(0, np.uint8))
-        self.lens.append(lens)
-        for column, block_codes in zip(self.columns, codes):
-            column.append(block_codes)
+    def codes(self, names: list[bytes]) -> np.ndarray:
+        """The codes of ``names``, adding those not held yet."""
+        code_of = self.code_of
+        return np.fromiter(
+            (code_of.setdefault(name, len(code_of)) for name in names), np.int32, len(names)
+        )
 
-    def compact(self) -> list[np.ndarray]:
-        """Sort the identifiers of the blocks added so far as one set of
-        fields, which becomes the one block; returns, for each block, the
-        merged code of each of its identifiers."""
-        blocks = np.cumsum([len(block) for block in self.lens[:-1]])
-        lens = _joined(self.lens)
-        data = _joined(self.data).tobytes() + _PAD
-        starts = np.cumsum(lens) - lens
-        merged, firsts = _encode(data, starts, lens)
-        self.add(np.frombuffer(data, dtype=np.uint8), starts[firsts], lens[firsts])
-        return np.split(merged, blocks)
-
-    def merge(self) -> tuple[list[np.ndarray], tuple[str, ...]]:
-        """The code columns in the merged vocabulary, and that vocabulary."""
-        entries = self.compact()
-        return [_remapped(entries, column) for column in self.columns], self.values()
-
-    def values(self) -> tuple[str, ...]:
-        """The identifiers of a compacted vocabulary."""
-        [data], [lens] = self.data, self.lens
-        # each identifier is copied with the byte after it, which must exist
-        return _gather_values(np.append(data, np.uint8(0)), np.cumsum(lens) - lens, lens)
+    def ranks(self) -> tuple[np.ndarray, tuple[str, ...]]:
+        """The rank of each code in the sorted order of the identifiers, and
+        the identifiers, decoded, in that order.  UTF-8 bytes sort as their
+        strings do."""
+        ordered = sorted(self.code_of.items())
+        rank = np.empty(len(ordered), dtype=np.int32)
+        rank[[code for _, code in ordered]] = np.arange(len(ordered), dtype=np.int32)
+        return rank, tuple(name.decode() for name, _ in ordered)
 
 
 class _Cells:
-    """Calls per (antenna, local hour) of the blocks parsed so far: the
-    antenna vocabulary, and each block's cells in codes into its own
-    identifiers.  The cells are merged again whenever their number doubles,
-    so that they stay near the number of distinct cells whatever the order
-    of the lines."""
+    """Calls per (antenna, local hour) of the blocks parsed so far, in codes
+    of one antenna vocabulary.  The cells are folded again whenever their
+    number doubles, so that they stay near the number of distinct cells
+    whatever the order of the lines."""
 
     def __init__(self, utc_offset_minutes: int) -> None:
         self.utc_offset_minutes = utc_offset_minutes
-        self.antennas = _Vocabulary(0)
+        self.antennas = _Vocabulary()
         self.codes: list[np.ndarray] = []
         self.hours: list[np.ndarray] = []
         self.counts: list[np.ndarray] = []
         self.n_held = self.n_merged = 0
 
-    def add(
-        self, buf: np.ndarray, starts: np.ndarray, lens: np.ndarray,
-        antenna: np.ndarray, timestamp: np.ndarray,
-    ) -> None:
-        """Add a block's distinct antennas, ``buf[starts : starts + lens]``
-        in sorted order, and the antenna codes and timestamps of its calls."""
+    def add(self, antennas: list[bytes], antenna: np.ndarray, timestamp: np.ndarray) -> None:
+        """Add a block's distinct antennas, and the codes into them and the
+        timestamps of its calls."""
         codes, hours, counts = _fold(antenna, local_hours(timestamp, self.utc_offset_minutes), 1)
-        self.antennas.add(buf, starts, lens)
-        self.codes.append(codes)
+        self.codes.append(self.antennas.codes(antennas)[codes])
         self.hours.append(hours)
         self.counts.append(counts)
         self.n_held += len(codes)
@@ -332,21 +293,18 @@ class _Cells:
             self.merge()
 
     def merge(self) -> None:
-        """Fold the cells of every block into the merged vocabulary."""
-        codes, hours, counts = _fold(
-            _remapped(self.antennas.compact(), self.codes), _joined(self.hours),
-            _joined(self.counts),
-        )
-        self.codes, self.hours, self.counts = [codes], [hours], [counts]
-        self.n_held = self.n_merged = len(codes)
+        """Fold the cells of every block together."""
+        cells = _fold(_joined(self.codes), _joined(self.hours), _joined(self.counts))
+        self.codes, self.hours, self.counts = ([column] for column in cells)
+        self.n_held = self.n_merged = len(cells[0])
 
     def result(self) -> HourlyCounts:
         """The hourly counts of every block added."""
-        if len(self.codes) > 1:
-            self.merge()
+        rank, antennas = self.antennas.ranks()
+        self.codes = [rank[_joined(self.codes)]]
+        self.merge()
         return HourlyCounts(
-            self.antennas.values(), self.codes[0], self.hours[0], self.counts[0],
-            self.utc_offset_minutes,
+            antennas, self.codes[0], self.hours[0], self.counts[0], self.utc_offset_minutes
         )
 
 
@@ -374,8 +332,8 @@ class _Block(NamedTuple):
     data: bytes  # the block, ending in _PAD
     timestamp: np.ndarray
     outgoing: np.ndarray
-    antenna: np.ndarray  # codes into the block's distinct antennas
-    antennas: tuple[np.ndarray, np.ndarray, np.ndarray]  # (buf, starts, lens), sorted
+    antenna: np.ndarray  # codes into antennas
+    antennas: list[bytes]  # the block's distinct antennas, sorted
     user_at: tuple[np.ndarray, np.ndarray]  # located and other fields' starts
     user_lens: tuple[np.ndarray, np.ndarray]  # and their lengths
 
@@ -460,7 +418,7 @@ def _parse_lines(
     reason[five] = row_reason
     keep = row_reason == 0
     antenna, antenna_firsts = _encode(data, at[2], lens[2])
-    antennas = (buf, at[2][antenna_firsts], lens[2][antenna_firsts])
+    antennas = _fields(data, at[2][antenna_firsts], lens[2][antenna_firsts])
     rejected = np.flatnonzero(reason)
     report.accepted += int(keep.sum())
     report.rejected += len(rejected)
@@ -477,26 +435,31 @@ class _Rows:
     """Accepted rows of blocks, kept as the columns of a ``CallTable``."""
 
     def __init__(self) -> None:
-        self.users, self.antennas = _Vocabulary(2), _Vocabulary(1)
-        self.timestamps: list[np.ndarray] = []
-        self.outgoings: list[np.ndarray] = []
+        self.users, self.antennas = _Vocabulary(), _Vocabulary()
+        # timestamp, located, other, outgoing and antenna pieces
+        self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
 
     def add(self, block: _Block, rows: np.ndarray | slice = slice(None)) -> None:
         """Add the block's accepted rows, or those that ``rows`` picks."""
         at = np.concatenate([column[rows] for column in block.user_at])
         lens = np.concatenate([column[rows] for column in block.user_lens])
         codes, firsts = _encode(block.data, at, lens)
-        buf = np.frombuffer(block.data, dtype=np.uint8)
-        self.users.add(buf, at[firsts], lens[firsts], *np.split(codes, 2))
-        self.antennas.add(*block.antennas, block.antenna[rows])
-        self.timestamps.append(block.timestamp[rows])
-        self.outgoings.append(block.outgoing[rows])
+        codes = self.users.codes(_fields(block.data, at[firsts], lens[firsts]))[codes]
+        antenna = self.antennas.codes(block.antennas)[block.antenna[rows]]
+        pieces = (block.timestamp[rows], *np.split(codes, 2), block.outgoing[rows], antenna)
+        for column, piece in zip(self.columns, pieces):
+            column.append(piece)
 
     def table(self) -> CallTable:
         """The rows of every block added, at least one, as a table."""
-        (antenna,), antennas = self.antennas.merge()
-        (located, other), users = self.users.merge()
-        timestamp, outgoing = _joined(self.timestamps), _joined(self.outgoings)
+        timestamp, located, other, outgoing, antenna = map(_joined, self.columns)
+        # each column is recoded by rank before the next, so that one old
+        # column at a time is held
+        user_rank, users = self.users.ranks()
+        located = user_rank[located]
+        other = user_rank[other]
+        antenna_rank, antennas = self.antennas.ranks()
+        antenna = antenna_rank[antenna]
         return CallTable(timestamp, located, other, outgoing, antenna, users, antennas)
 
 
@@ -506,9 +469,7 @@ def _at_window(block: _Block, window: tuple[str, int, int]) -> np.ndarray:
     antenna, t_lo, t_hi = window
     # an identifier that is not UTF-8 (a lone surrogate) matches no field
     name = antenna.encode("utf-8", "surrogatepass")
-    _, starts, lens = block.antennas
-    spans = zip(starts.tolist(), lens.tolist())
-    code = next((i for i, (s, k) in enumerate(spans) if block.data[s : s + k] == name), -1)
+    code = block.antennas.index(name) if name in block.antennas else -1
     return (block.antenna == code) & (block.timestamp >= t_lo) & (block.timestamp < t_hi)
 
 
@@ -532,8 +493,11 @@ def parse_cdr_file(
     rest of the last line by ``stream.readline``, so an unbuffered raw
     stream reads that rest a byte at a time (``open(path, "rb")`` is
     buffered).  Each block is
-    parsed into columns and its own vocabularies, which are merged at the
-    end, so memory stays about the finished table plus one block.
+    parsed into columns whose identifiers are coded through one dictionary
+    per vocabulary, new identifiers taking the next codes; at the end the
+    keys are sorted once and the codes recoded by rank.  So memory stays
+    about the finished table, one entry per distinct identifier, plus one
+    block.
 
     Given ``utc_offset_minutes``, the records are counted instead: the
     result is the corpus's ``HourlyCounts`` at that offset, lines are
@@ -553,7 +517,7 @@ def parse_cdr_file(
         block = _parse_lines(data, line_no, report)
         del data
         if cells is not None:
-            cells.add(*block.antennas, block.antenna, block.timestamp)
+            cells.add(block.antennas, block.antenna, block.timestamp)
         if rows is not None:
             rows.add(block, slice(None) if window is None else _at_window(block, window))
         # the block's columns and identifiers go before the next block is read

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cdrevents
-from cdrevents import CallRecord, DatasetCalendar, Direction, ingest, write_cdr_file
+from cdrevents import CallRecord, DatasetCalendar, Direction, cli, ingest, synth, write_cdr_file
 from cdrevents.cli import build_parser, main, parse_utc_offset, parse_window
 
 SOCIAL_CONFIG = {
@@ -756,6 +756,41 @@ def test_an_input_or_output_of_the_wrong_kind_is_one_error_line(tmp_path, case):
     assert len([line for line in proc.stderr.splitlines() if line.startswith("error:")]) == 1
     assert tree(tmp_path) == before
     assert existing.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "case", ["generate config", "detect CDR", "infer CDR", "infer roster", "infer CDR again"]
+)
+def test_an_input_that_cannot_be_opened_is_one_error_line(
+    tmp_path, capsys, monkeypatch, generated_tiny_corpus, case
+):
+    # open raises what a mode-000 file gives a user other than root; infer
+    # opens its CDR file twice, and the second time fails in "infer CDR again"
+    cdr, roster = generated_tiny_corpus
+    config = write_config(tmp_path, TINY_CONFIG)
+    window = ["--antenna", "A001", "--date", TINY_DATE]
+    module, path, fails_at, args = {
+        "generate config": (synth, config, 1, ["generate", str(config)]),
+        "detect CDR": (cli, cdr, 1, ["detect", str(cdr), str(roster)]),
+        "infer CDR": (cli, cdr, 1, ["infer", str(cdr), str(roster), *window]),
+        "infer roster": (cli, roster, 1, ["infer", str(cdr), str(roster), *window]),
+        "infer CDR again": (cli, cdr, 2, ["infer", str(cdr), str(roster), *window]),
+    }[case]
+    opened = []
+
+    def refusing_open(file, *args, **kwargs):
+        if Path(file) == path:
+            opened.append(file)
+            if len(opened) == fails_at:
+                raise PermissionError(13, "Permission denied", str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(module, "open", refusing_open, raising=False)
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert error_lines(err) == [f"error: [Errno 13] Permission denied: '{path}'"]
+    assert "Traceback" not in err and len(opened) == fails_at and not out.exists()
 
 
 

@@ -52,7 +52,7 @@ def test_the_crlf_case_gives_the_readme_case_s_outputs(tmp_path):
     # prints and writes what it does on the corpus as generated
     by_name = {case[0]: case for case in same_outputs.cases([])}
     assert by_name["readme-crlf"][1:4] == by_name["readme"][1:4]
-    assert (by_name["readme"][4], by_name["readme-crlf"][4]) == (False, True)
+    assert (by_name["readme"][4], by_name["readme-crlf"][4]) == (None, same_outputs.crlf)
     sides = []
     for name in ("readme", "readme-crlf"):
         case_dir = tmp_path / name
@@ -67,3 +67,58 @@ def test_the_crlf_case_gives_the_readme_case_s_outputs(tmp_path):
     cdr, crlf_cdr = files.pop("corpus/cdr.csv"), crlf_files.pop("corpus/cdr.csv")
     assert crlf_cdr == cdr.replace(b"\n", b"\r\n") and crlf_cdr.count(b"\r\n") > 1
     assert crlf_files == files
+
+
+def test_the_renamed_case_renames_every_user_and_shuffles_the_lines(tmp_path):
+    # users become non-ASCII names longer than a uint64 word that share
+    # their first 9 bytes and sort in another order; antennas stay as they are
+    by_name = {case[0]: case for case in same_outputs.cases([])}
+    assert by_name["readme-renamed"][1:] == (*by_name["readme"][1:4], same_outputs.renamed)
+    assert same_outputs.renamed_user(b"u000123") == "üüüü-321000".encode()
+    assert len(same_outputs.renamed_user(b"u000123")) == 15
+    assert same_outputs.renamed_user(b"u000010") < same_outputs.renamed_user(b"u000001")
+    assert same_outputs.renamed_user(b"A001") == b"A001"
+    header = "located_user,other_party,direction,timestamp,antenna"
+    lines = [f"u{i:06d},u{(7 * i) % 100:06d},out,{1000 + i},A{i % 3:03d}" for i in range(1, 100)]
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "cdr.csv").write_text("\n".join([header, *lines, ""]))
+    (corpus_dir / "clients.txt").write_text("u000001\nu000010\n")
+    same_outputs.renamed(corpus_dir)
+    got = (corpus_dir / "cdr.csv").read_text(encoding="utf-8").split("\n")
+    assert got[0] == header and got[-1] == ""
+    expected = [
+        f"üüüü-{f'{i:06d}'[::-1]},üüüü-{f'{(7 * i) % 100:06d}'[::-1]},out,{1000 + i},A{i % 3:03d}"
+        for i in range(1, 100)
+    ]
+    assert got[1:-1] != expected and sorted(got[1:-1]) == sorted(expected)
+    roster = (corpus_dir / "clients.txt").read_text(encoding="utf-8")
+    assert roster == "üüüü-100000\nüüüü-010000\n"
+
+
+def test_the_renamed_case_gives_the_readme_case_s_outputs_renamed(tmp_path):
+    # every count and the fit are the readme case's; the edges name the
+    # renamed users
+    by_name = {case[0]: case for case in same_outputs.cases([])}
+    sides = []
+    for name in ("readme", "readme-renamed"):
+        case_dir = tmp_path / name
+        results = same_outputs.run_case(ROOT, case_dir, *by_name[name][1:])
+        sides.append((results, same_outputs.files(case_dir)))
+    (results, files), (renamed_results, renamed_files) = sides
+    assert all(status == 0 for status, _, _ in renamed_results.values())
+    assert renamed_results == results
+    edges = [name for name in files if name.endswith("subgraph_edges.csv")]
+    assert edges
+    for name in edges:
+        header, *rows = files.pop(name).decode().splitlines()
+        renamed_header, *renamed_rows = renamed_files.pop(name).decode().splitlines()
+        pairs = [
+            sorted(same_outputs.renamed_user(user.encode()).decode() for user in row.split(","))
+            for row in rows
+        ]
+        assert renamed_header == header and len(rows) > 1
+        assert [row.split(",") for row in renamed_rows] == sorted(pairs)
+    for name in ("corpus/cdr.csv", "corpus/clients.txt"):
+        assert renamed_files.pop(name) != files.pop(name)
+    assert renamed_files == files

@@ -5,14 +5,15 @@ Usage:
 
 BASE and CHANGE are source checkouts, say ``git archive`` copies of two
 commits.  The cases are each workload of ``cdrbench/corpus.py`` at each
-seed (default 7), and the config of the README's CLI walkthrough, once as
-generated and once with every line of its ``cdr.csv`` ending in CRLF.  In
-each case, each checkout runs ``generate`` (a workload's corpus then gets
-``corpus.extra_lines``), ``detect --dump-index`` on the first planted
-event's antenna, and ``infer`` for every planted event.  A case runs in a
-directory of its own on each side, laid out the same way and named by
-relative paths, so that printed paths match, under
-``PYTHONDONTWRITEBYTECODE=1``.
+seed (default 7), and the config of the README's CLI walkthrough three
+times: as generated, with every line of its ``cdr.csv`` ending in CRLF, and
+with its users renamed and its data lines shuffled (``renamed``).  In each
+case, each checkout runs ``generate`` (a workload's corpus then gets
+``corpus.extra_lines``, and a README corpus its rewrite), ``detect
+--dump-index`` on the first planted event's antenna, and ``infer`` for
+every planted event.  A case runs in a directory of its own on each side,
+laid out the same way and named by relative paths, so that printed paths
+match, under ``PYTHONDONTWRITEBYTECODE=1``.
 
 The exit status, standard output and standard error of every command, and
 every file the case leaves, are compared.  Each difference is printed, and
@@ -25,12 +26,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True  # leave cdrbench/ as it is
@@ -38,6 +41,7 @@ sys.path.insert(0, str(ROOT / "cdrbench"))
 import corpus  # noqa: E402  (cdrbench's modules import each other by name)
 
 COMMAND_TIMEOUT_S = 300
+SHUFFLE_SEED = 22
 
 
 def readme_config() -> dict:
@@ -47,27 +51,59 @@ def readme_config() -> dict:
     return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
 
 
-def cases(seeds: list[int]) -> list[tuple[str, dict, corpus.Shape | None, int, bool]]:
-    """(name, generator config, workload shape or None, seed, whether the
-    CDR's lines end in CRLF) of each case."""
+def crlf(corpus_dir: Path) -> None:
+    """End every line of the corpus's CDR file in CRLF."""
+    cdr = corpus_dir / "cdr.csv"
+    cdr.write_bytes(cdr.read_bytes().replace(b"\n", b"\r\n"))
+
+
+def renamed_user(name: bytes) -> bytes:
+    """A generated user name ``u`` + digits as "üüüü-" + the digits reversed:
+    15 bytes of UTF-8, the first 9 shared by every user, in another order;
+    any other name as it is."""
+    match = re.fullmatch(rb"u(\d+)", name)
+    return "üüüü-".encode() + match.group(1)[::-1] if match else name
+
+
+def renamed(corpus_dir: Path) -> None:
+    """Rename the users of the corpus's CDR file and roster by
+    ``renamed_user``, and shuffle the CDR's data lines with a fixed seed."""
+    cdr, roster = corpus_dir / "cdr.csv", corpus_dir / "clients.txt"
+    header, *lines = cdr.read_bytes().split(b"\n")[:-1]
+    rows = []
+    for line in lines:
+        located, other, rest = line.split(b",", 2)
+        rows.append(b",".join([renamed_user(located), renamed_user(other), rest]))
+    random.Random(SHUFFLE_SEED).shuffle(rows)
+    cdr.write_bytes(b"\n".join([header, *rows, b""]))
+    users = roster.read_bytes().splitlines()
+    roster.write_bytes(b"".join(renamed_user(user) + b"\n" for user in users))
+
+
+Rewrite = Callable[[Path], None]
+
+
+def cases(seeds: list[int]) -> list[tuple[str, dict, corpus.Shape | None, int, Rewrite | None]]:
+    """(name, generator config, workload shape or None, seed, rewrite of the
+    generated corpus or None) of each case."""
     found = [
-        (f"{name}-{seed}", corpus.generator_config(shape, seed), shape, seed, False)
+        (f"{name}-{seed}", corpus.generator_config(shape, seed), shape, seed, None)
         for seed in seeds
         for name, shape in corpus.WORKLOADS.items()
     ]
     config = readme_config()
     return found + [
-        ("readme", config, None, config["seed"], False),
-        ("readme-crlf", config, None, config["seed"], True),
+        (f"readme{suffix}", config, None, config["seed"], rewrite)
+        for suffix, rewrite in (("", None), ("-crlf", crlf), ("-renamed", renamed))
     ]
 
 
 def run_case(
-    checkout: Path, case_dir: Path, config: dict, shape, seed: int, crlf: bool
+    checkout: Path, case_dir: Path, config: dict, shape, seed: int, rewrite: Rewrite | None
 ) -> dict:
     """Run the case's commands with ``checkout``'s program in ``case_dir``,
-    after ending every line of the generated CDR in CRLF if ``crlf``;
-    returns (exit status, stdout, stderr) by command line."""
+    after the ``rewrite`` of the generated corpus, if any; returns (exit
+    status, stdout, stderr) by command line."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     results: dict[str, tuple[int, bytes, bytes]] = {}
 
@@ -86,9 +122,8 @@ def run_case(
     corpus_dir = case_dir / "corpus"
     if shape is not None:
         corpus.append_lines(corpus_dir / "cdr.csv", corpus.extra_lines(shape, seed, corpus_dir))
-    if crlf:
-        cdr = corpus_dir / "cdr.csv"
-        cdr.write_bytes(cdr.read_bytes().replace(b"\n", b"\r\n"))
+    if rewrite is not None:
+        rewrite(corpus_dir)
     events = corpus.read_truth(corpus_dir / "truth.csv")
     inputs = ("corpus/cdr.csv", "corpus/clients.txt")
     dump = ("--dump-index", events[0].antenna) if events else ()
@@ -132,11 +167,11 @@ def main(argv: list[str]) -> int:
     work = args.work or Path(tempfile.mkdtemp(prefix="same_outputs."))
     n_differences = 0
     try:
-        for name, config, shape, seed, crlf in cases(args.seeds):
+        for name, config, shape, seed, rewrite in cases(args.seeds):
             sides = []
             for side, checkout in (("base", args.base), ("change", args.change)):
                 case_dir = work / side / name
-                results = run_case(checkout.resolve(), case_dir, config, shape, seed, crlf)
+                results = run_case(checkout.resolve(), case_dir, config, shape, seed, rewrite)
                 sides.append((results, files(case_dir)))
             (base_results, base_files), (change_results, change_files) = sides
             found = differences(base_results, change_results, "command")
