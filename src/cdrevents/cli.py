@@ -299,6 +299,8 @@ def cmd_infer(args) -> int:
     from . import inference, social
 
     _check_inputs(args.cdr, args.roster)
+    if args.min_denominator < 1:
+        raise CliError(f"--min-denominator must be at least 1, got {args.min_denominator}")
     graph, subgraph = _window_analysis(args)
     # the subgraph files come before the fit, so a window too small to fit
     # still leaves them

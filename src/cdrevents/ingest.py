@@ -13,7 +13,8 @@ from typing import IO, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import CallRecord, CallTable, HourlyCounts, _fold, local_hours
+from .model import CallRecord, CallTable, HourlyCounts, _Columns, _fold, _joined, _ranks
+from .model import _Vocabulary, local_hours
 
 CDR_HEADER = "located_user,other_party,direction,timestamp,antenna"
 MAX_REPORTED_ERRORS = 20
@@ -236,37 +237,6 @@ def _reason(code: int, line: bytes) -> str:
     return "empty identifier in call record"
 
 
-def _joined(pieces: list[np.ndarray]) -> np.ndarray:
-    """The pieces concatenated; the list is emptied, so that they are freed."""
-    joined = np.concatenate(pieces)
-    pieces.clear()
-    return joined
-
-
-class _Vocabulary:
-    """Identifiers as bytes, each with its code: the number of identifiers
-    added before it."""
-
-    def __init__(self) -> None:
-        self.code_of: dict[bytes, int] = {}
-
-    def codes(self, names: list[bytes]) -> np.ndarray:
-        """The codes of ``names``, adding those not held yet."""
-        code_of = self.code_of
-        return np.fromiter(
-            (code_of.setdefault(name, len(code_of)) for name in names), np.int32, len(names)
-        )
-
-    def ranks(self) -> tuple[np.ndarray, tuple[str, ...]]:
-        """The rank of each code in the sorted order of the identifiers, and
-        the identifiers, decoded, in that order.  UTF-8 bytes sort as their
-        strings do."""
-        ordered = sorted(self.code_of.items())
-        rank = np.empty(len(ordered), dtype=np.int32)
-        rank[[code for _, code in ordered]] = np.arange(len(ordered), dtype=np.int32)
-        return rank, tuple(name.decode() for name, _ in ordered)
-
-
 class _Cells:
     """Calls per (antenna, local hour) of the blocks parsed so far, in codes
     of one antenna vocabulary.  The cells are folded again whenever their
@@ -300,7 +270,7 @@ class _Cells:
 
     def result(self) -> HourlyCounts:
         """The hourly counts of every block added."""
-        rank, antennas = self.antennas.ranks()
+        rank, antennas = _ranks([name.decode() for name in self.antennas])
         self.codes = [rank[_joined(self.codes)]]
         self.merge()
         return HourlyCounts(
@@ -436,8 +406,7 @@ class _Rows:
 
     def __init__(self) -> None:
         self.users, self.antennas = _Vocabulary(), _Vocabulary()
-        # timestamp, located, other, outgoing and antenna pieces
-        self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
+        self.columns = _Columns()
 
     def add(self, block: _Block, rows: np.ndarray | slice = slice(None)) -> None:
         """Add the block's accepted rows, or those that ``rows`` picks."""
@@ -446,21 +415,14 @@ class _Rows:
         codes, firsts = _encode(block.data, at, lens)
         codes = self.users.codes(_fields(block.data, at[firsts], lens[firsts]))[codes]
         antenna = self.antennas.codes(block.antennas)[block.antenna[rows]]
-        pieces = (block.timestamp[rows], *np.split(codes, 2), block.outgoing[rows], antenna)
-        for column, piece in zip(self.columns, pieces):
-            column.append(piece)
+        self.columns.add(block.timestamp[rows], *np.split(codes, 2), block.outgoing[rows], antenna)
 
     def table(self) -> CallTable:
-        """The rows of every block added, at least one, as a table."""
-        timestamp, located, other, outgoing, antenna = map(_joined, self.columns)
-        # each column is recoded by rank before the next, so that one old
-        # column at a time is held
-        user_rank, users = self.users.ranks()
-        located = user_rank[located]
-        other = user_rank[other]
-        antenna_rank, antennas = self.antennas.ranks()
-        antenna = antenna_rank[antenna]
-        return CallTable(timestamp, located, other, outgoing, antenna, users, antennas)
+        """The rows of every block added as a table, its identifiers
+        decoded."""
+        return self.columns.table(
+            [name.decode() for name in self.users], [name.decode() for name in self.antennas]
+        )
 
 
 def _at_window(block: _Block, window: tuple[str, int, int]) -> np.ndarray:
@@ -492,12 +454,12 @@ def parse_cdr_file(
     The stream is read in blocks: 1 MiB by ``stream.readinto``, then the
     rest of the last line by ``stream.readline``, so an unbuffered raw
     stream reads that rest a byte at a time (``open(path, "rb")`` is
-    buffered).  Each block is
-    parsed into columns whose identifiers are coded through one dictionary
-    per vocabulary, new identifiers taking the next codes; at the end the
-    keys are sorted once and the codes recoded by rank.  So memory stays
-    about the finished table, one entry per distinct identifier, plus one
-    block.
+    buffered).  Each block is parsed into columns whose identifiers are
+    coded through one dictionary per vocabulary, new identifiers taking the
+    next codes; at the end the table is built as every table is
+    (``model._Columns.table``): the keys are sorted once and each column is
+    joined and recoded by rank in turn.  So memory stays about the finished
+    table, one entry per distinct identifier, plus one block.
 
     Given ``utc_offset_minutes``, the records are counted instead: the
     result is the corpus's ``HourlyCounts`` at that offset, lines are

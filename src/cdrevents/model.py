@@ -105,7 +105,8 @@ class CallTable(Sequence):
     outgoing[i] else INCOMING, timestamp[i], antennas[antenna[i]])``.  Both
     vocabularies are sorted, so code order is string order; they may hold
     identifiers no row uses (a sub-table keeps its parent's).  The columns
-    are read-only.
+    are read-only.  The parse, the generator and ``from_records`` each
+    build their table through ``_Columns.table``.
 
     The table is a read-only ``Sequence[CallRecord]``: records are built on
     access, ``==`` compares it with any record sequence, and indexing with a
@@ -133,23 +134,17 @@ class CallTable(Sequence):
             records = list(records)
         n = len(records)
         field = operator.itemgetter
-        users = sorted(set(map(field(0), records)).union(map(field(1), records)))
-        antennas = sorted(set(map(field(4), records)))
-
-        def codes(vocabulary: list[str], column: int) -> np.ndarray:
-            code_of = {name: i for i, name in enumerate(vocabulary)}.__getitem__
-            return np.fromiter(map(code_of, map(field(column), records)), np.int32, n)
-
+        users, antennas = _Vocabulary(), _Vocabulary()
         outgoing = map(operator.is_, map(field(2), records), itertools.repeat(Direction.OUTGOING))
-        return cls(
+        columns = _Columns()
+        columns.add(
             np.fromiter(map(field(3), records), np.int64, n),
-            codes(users, 0),
-            codes(users, 1),
+            users.codes(list(map(field(0), records))),
+            users.codes(list(map(field(1), records))),
             np.fromiter(outgoing, bool, n),
-            codes(antennas, 4),
-            tuple(users),
-            tuple(antennas),
+            antennas.codes(list(map(field(4), records))),
         )
+        return columns.table(list(users), list(antennas))
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -218,6 +213,72 @@ class CallTable(Sequence):
         in one pass, in the table's antenna vocabulary."""
         cells = _fold(self.antenna, local_hours(self.timestamp, utc_offset_minutes), 1)
         return HourlyCounts(self.antennas, *cells, utc_offset_minutes)
+
+
+def _joined(pieces: list[np.ndarray]) -> np.ndarray:
+    """The pieces concatenated; the list is emptied, so that they are freed."""
+    joined = np.concatenate(pieces)
+    pieces.clear()
+    return joined
+
+
+class _Vocabulary(dict):
+    """Identifiers (``str`` or ``bytes``), each mapped to its code: the
+    number of identifiers added before it, so the keys are in code order."""
+
+    def codes(self, names: list) -> np.ndarray:
+        """The int32 codes of ``names``, adding those not held yet."""
+        return np.fromiter((self.setdefault(name, len(self)) for name in names), np.int32, len(names))
+
+
+def _ranks(names: list) -> tuple[np.ndarray, tuple]:
+    """The int32 rank of each name in string order, and the sorted names.
+    The names are sorted as a numpy object array, which makes no Python int
+    per name, as ``sorted(range(n), key=...)`` does."""
+    names = np.array(names, dtype=object)
+    order = names.argsort(kind="stable")
+    names = tuple(names[order])
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    return rank, names
+
+
+class _Columns:
+    """The five columns of a ``CallTable`` in pieces, added a batch of rows
+    at a time, with codes that index vocabularies in any order."""
+
+    def __init__(self) -> None:
+        # an empty piece of each column's dtype, so that no rows still give
+        # a table of the right dtypes
+        self.pieces: tuple[list[np.ndarray], ...] = tuple(
+            [np.empty(0, dtype)] for dtype in (np.int64, np.int32, np.int32, bool, np.int32)
+        )
+
+    def add(self, timestamp, located, other, outgoing, antenna) -> None:
+        """Add a batch: int64 timestamps, int32 codes into the users and
+        into the antennas, and bools (``antenna`` may be a broadcast view)."""
+        for pieces, piece in zip(self.pieces, (timestamp, located, other, outgoing, antenna)):
+            pieces.append(piece)
+
+    def table(self, users: list[str], antennas: list[str], by_time: bool = False) -> CallTable:
+        """The rows as a table, the codes recoded by the rank of their names
+        in ``users`` and ``antennas``, which are sorted once; with
+        ``by_time``, the rows are ordered stably by timestamp.  Each column
+        is joined, ordered and recoded before the next, and its pieces and
+        each copy are freed once read, so that one column at a time is held
+        twice."""
+        timestamp = _joined(self.pieces[0])
+        order = np.argsort(timestamp, kind="stable") if by_time else slice(None)
+        timestamp = timestamp[order]
+        # ranked only now, when less is held than while the timestamps were
+        # ordered, so that the sort's temporaries stay below that peak
+        user_rank, users = _ranks(users)
+        antenna_rank, antennas = _ranks(antennas)
+        located = user_rank[_joined(self.pieces[1])[order]]
+        other = user_rank[_joined(self.pieces[2])[order]]
+        outgoing = _joined(self.pieces[3])[order]
+        antenna = antenna_rank[_joined(self.pieces[4])[order]]
+        return CallTable(timestamp, located, other, outgoing, antenna, users, antennas)
 
 
 def _fold(

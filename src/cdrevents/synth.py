@@ -25,10 +25,12 @@ same corpus byte for byte.  Counts are Poisson; only the mean structure is
 modeled, not burstiness or durations.
 
 Memory: each record is held once, in the dtypes of the finished table (21
-bytes a row), as soon as it is drawn; the draws themselves stay int64 one
-batch at a time, since a narrower ``rng.integers`` dtype changes the
-stream.  Building the table adds the stable timestamp order (8 bytes a row)
-and one column being joined and ordered at a time.
+bytes a row), as soon as it is drawn, its users and antenna as int32
+indices into the generated ids; the draws themselves stay int64 one batch
+at a time, since a narrower ``rng.integers`` dtype changes the stream.
+Building the table (``model._Columns.table``) adds the stable timestamp
+order (8 bytes a row) and one column being joined, ordered and recoded by
+the rank of its ids in string order at a time.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ from typing import IO, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import _joined
 from .model import DAYS_PER_WEEK, HOURS_PER_DAY, MAX_UTC_OFFSET_MINUTES, SECONDS_PER_HOUR
-from .model import CallTable, DatasetCalendar, parse_iso_date
+from .model import CallTable, DatasetCalendar, _Columns, parse_iso_date
 
 DEFAULT_EPOCH_START = dt.date(2012, 1, 2)  # a Monday
 DEFAULT_UTC_OFFSET_MINUTES = -180
@@ -243,64 +244,32 @@ class SynthResult:
     calendar: DatasetCalendar
 
 
-class _Columns:
-    """Record accumulator that holds each record once, in the dtype of the
-    finished table, and builds the time-sorted table one column at a time.
-    ``popularity`` is the other-party draw of ``add_calls``."""
+class _Calls(_Columns):
+    """The generator's records, each held once, in the dtype of the finished
+    table.  ``draw`` is the other-party draw of ``add_calls``: the
+    ``popularity`` draw, or a uniform one if that is None."""
 
-    def __init__(
-        self, users: list[str], antenna_names: list[str], popularity: _WeightedDraw | None
-    ) -> None:
-        self.popularity = popularity
-        self.user_rank, self.users = _ranks(users)
-        self.antenna_rank, self.antennas = _ranks(antenna_names)
-        # the table's columns: timestamp, located, other, outgoing, antenna
-        self.parts: tuple[list[np.ndarray], ...] = tuple(
-            [np.empty(0, dtype)] for dtype in (np.int64, np.int32, np.int32, bool, np.int32)
-        )
+    def __init__(self, n_users: int, popularity: _WeightedDraw | None) -> None:
+        super().__init__()
+        self.draw = popularity or (lambda rng, size: rng.integers(0, n_users, size))
 
-    def add(self, ts, antenna, located, other, direction) -> None:
+    def add_draws(self, ts, antenna, located, other, direction) -> None:
         """Store a batch of int64 draws (``antenna`` may be one index): users
-        and antennas as their int32 codes, which follow the string order of
-        the ids, not the order they are numbered in once they outgrow their
-        zero padding (``u1000000`` < ``u100001``), and direction 0 as
-        outgoing."""
-        columns = (ts, self.user_rank[located], self.user_rank[other], direction == 0,
-                   np.broadcast_to(self.antenna_rank[antenna], ts.shape))
-        for part, column in zip(self.parts, columns):
-            part.append(column)
+        and antennas as their int32 indices, and direction 0 as outgoing."""
+        self.add(ts, located.astype(np.int32), other.astype(np.int32), direction == 0,
+                 np.broadcast_to(np.asarray(antenna, np.int32), ts.shape))
 
     def add_calls(self, rng: np.random.Generator, ts, antenna, located) -> None:
         """Store a batch of calls by the ``located`` users, drawing from
         ``rng`` their other parties, redrawn wherever they collide with the
         located user (two users or more are needed to end), and then their
         directions."""
-        n_users = len(self.user_rank)
-        draw = self.popularity or (lambda rng, size: rng.integers(0, n_users, size))
-        other = draw(rng, len(located))
+        other = self.draw(rng, len(located))
         collision = other == located
         while collision.any():
-            other[collision] = draw(rng, int(collision.sum()))
+            other[collision] = self.draw(rng, int(collision.sum()))
             collision = other == located
-        self.add(ts, antenna, located, other, rng.integers(0, 2, len(located)))
-
-    def build(self) -> CallTable:
-        """The rows sorted stably by timestamp; each column's parts are freed
-        once it is joined and ordered."""
-        timestamp = _joined(self.parts[0])
-        order = np.argsort(timestamp, kind="stable")
-        columns = [timestamp[order]]
-        del timestamp
-        columns += [_joined(part)[order] for part in self.parts[1:]]
-        return CallTable(*columns, self.users, self.antennas)
-
-
-def _ranks(names: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The int32 rank of each name in string order, and the sorted names."""
-    order = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.empty(len(names), dtype=np.int32)
-    rank[order] = np.arange(len(names), dtype=np.int32)
-    return rank, tuple(names[i] for i in order)
+        self.add_draws(ts, antenna, located, other, rng.integers(0, 2, len(located)))
 
 
 class _WeightedDraw:
@@ -408,7 +377,7 @@ def generate(config: SynthConfig) -> SynthResult:
 
     lam = np.asarray(config.baseline_profile, dtype=float)
     t0 = calendar.start_epoch_seconds
-    columns = _Columns(users, antenna_names, popularity)
+    columns = _Calls(config.n_users, popularity)
     can_call = config.n_users >= 2 and n_clients >= 1
 
     if can_call and lam.any():
@@ -496,7 +465,7 @@ def generate(config: SynthConfig) -> SynthResult:
                 0, corpus_seconds - window_seconds, n_pairs
             )
             ts_wire = ts_wire + (ts_wire >= window_start) * window_seconds
-            columns.add(
+            columns.add_draws(
                 ts_wire,
                 event_rng.integers(0, config.n_antennas, n_pairs),
                 located_arr,
@@ -512,7 +481,7 @@ def generate(config: SynthConfig) -> SynthResult:
             wire(home_ties, swap_sides=False)
 
     return SynthResult(
-        records=columns.build(),
+        records=columns.table(users, antenna_names, by_time=True),
         clients=clients,
         truth=list(config.events),
         group_assignments=group_assignments,

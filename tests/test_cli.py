@@ -942,6 +942,18 @@ def test_infer_with_fewer_than_two_k_values_left_is_one_error_line(
         assert (out / name).read_text(encoding="utf-8").splitlines() == answers[name]
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_infer_refuses_a_min_denominator_below_1(tmp_path, capsys, generated_tiny_corpus, value):
+    # such a value used to be taken as 1
+    cdr, roster = generated_tiny_corpus
+    args = ["infer", str(cdr), str(roster), "--antenna", "A001", "--date", TINY_DATE]
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out), "--min-denominator", value]) == 1
+    err = capsys.readouterr().err
+    assert error_lines(err) == [f"error: --min-denominator must be at least 1, got {value}"]
+    assert "Traceback" not in err and not out.exists()
+
+
 # --- imports ---------------------------------------------------------------------
 
 # modules that only generate and infer need

@@ -1,4 +1,5 @@
 import datetime as dt
+import io
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from cdrevents.model import (
     local_hours,
     parse_iso_date,
 )
+from cdrevents.ingest import CDR_HEADER, parse_cdr_file, write_cdr_file
+from cdrevents.synth import SynthConfig, flat_profile, generate
 from helpers import IN, OUT, rec
 
 CAL = DatasetCalendar(dt.date(2012, 1, 2), n_weeks=3)
@@ -55,6 +58,64 @@ def test_record_rejects_empty_fields():
 def test_record_rejects_bad_direction():
     with pytest.raises(ValueError):
         CallRecord("A", "B", "out", 5, "L1")
+
+
+# --- tables -----------------------------------------------------------------
+
+COLUMN_DTYPES = (np.int64, np.int32, np.int32, np.bool_, np.int32)
+
+
+def column_dtypes(table):
+    columns = (table.timestamp, table.located, table.other, table.outgoing, table.antenna)
+    return tuple(column.dtype for column in columns)
+
+
+def parsed(records):
+    """The table parse of the records written as a CDR file."""
+    stream = io.BytesIO()
+    write_cdr_file(records, stream)
+    stream.seek(0)
+    return parse_cdr_file(stream)[0]
+
+
+# first seen, in number order and in string order, the identifiers come in
+# three different orders; "ü7" sorts after every ASCII one
+UNORDERED_RECORDS = [
+    rec("u99999", "u1000000", OUT, 30, "A99"),
+    rec("u1000000", "u100001", IN, 10, "A1000"),
+    rec("ü7", "u99999", OUT, 20, "A101"),
+    rec("u100001", "ü7", IN, 40, "Ä5"),
+    rec("u100001", "u1000000", OUT, 50, "A1000"),
+]
+
+
+@pytest.mark.parametrize("build", [CallTable.from_records, parsed], ids=["from_records", "parse"])
+def test_tables_code_identifiers_in_string_order(build):
+    table = build(UNORDERED_RECORDS)
+    assert table.users == ("u1000000", "u100001", "u99999", "ü7")
+    assert table.antennas == ("A1000", "A101", "A99", "Ä5")
+    assert column_dtypes(table) == COLUMN_DTYPES
+    assert table.located.tolist() == [2, 0, 3, 1, 1]
+    assert table.other.tolist() == [0, 1, 2, 3, 0]
+    assert table.antenna.tolist() == [2, 0, 1, 3, 0]
+    assert list(table) == UNORDERED_RECORDS
+    for user in table.users:
+        touching = [r for r in UNORDERED_RECORDS if user in (r.located_user, r.other_party)]
+        assert list(table.touching([user])) == touching
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CallTable.from_records([]),
+    lambda: parse_cdr_file(io.BytesIO(CDR_HEADER.encode() + b"\n"))[0],
+    lambda: generate(SynthConfig(
+        seed=1, n_users=0, client_fraction=0.5, n_antennas=2, n_weeks=2,
+        baseline_profile=flat_profile(3.0),
+    )).records,
+], ids=["from_records", "parse", "generate"])
+def test_an_empty_table_has_the_column_dtypes(build):
+    table = build()
+    assert len(table) == 0 and table.users == ()
+    assert column_dtypes(table) == COLUMN_DTYPES
 
 
 # --- contact graph --------------------------------------------------------

@@ -60,7 +60,7 @@ def test_the_crlf_case_gives_the_readme_case_s_outputs(tmp_path):
         sides.append((results, same_outputs.files(case_dir)))
     (results, files), (crlf_results, crlf_files) = sides
     assert [command.split()[0] for command in crlf_results] == [
-        "generate", "detect", "infer"
+        "generate", "detect", "infer", "table-parse"
     ]
     assert all(status == 0 for status, _, _ in crlf_results.values())
     assert crlf_results == results
@@ -107,6 +107,10 @@ def test_the_renamed_case_gives_the_readme_case_s_outputs_renamed(tmp_path):
         sides.append((results, same_outputs.files(case_dir)))
     (results, files), (renamed_results, renamed_files) = sides
     assert all(status == 0 for status, _, _ in renamed_results.values())
+    # the shuffled, renamed table keeps only the report and the antennas
+    parse = "table-parse corpus/cdr.csv"
+    digests = [side.pop(parse)[1].splitlines() for side in (results, renamed_results)]
+    assert [a.split()[0] for a, b in zip(*digests) if a == b] == [b"report", b"antennas"]
     assert renamed_results == results
     edges = [name for name in files if name.endswith("subgraph_edges.csv")]
     assert edges
@@ -122,3 +126,50 @@ def test_the_renamed_case_gives_the_readme_case_s_outputs_renamed(tmp_path):
     for name in ("corpus/cdr.csv", "corpus/clients.txt"):
         assert renamed_files.pop(name) != files.pop(name)
     assert renamed_files == files
+
+
+# a fake program whose table parse gives a fixed table, and each change of
+# one part of it
+FAKE_INGEST = """
+import numpy as np
+from types import SimpleNamespace
+
+def parse_cdr_file(stream):
+    stream.read()
+    table = SimpleNamespace(
+        users=("u1", "u2"), antennas=("A1", "A2"), timestamp=np.array([5, 7]),
+        located=np.array([0, 1], dtype=np.int32), other=np.array([1, 0], dtype=np.int32),
+        outgoing=np.array([True, False]), antenna=np.array([0, 1], dtype=np.int32),
+    )
+    report = SimpleNamespace(accepted=2, rejected=1, first_errors=[(3, "bad timestamp")])
+    {change}
+    return table, report
+"""
+ONE_PART_CHANGED = {
+    "report": 'report.first_errors = [(3, "bad direction")]',
+    "users": 'table.users = ("u1", "u3")',
+    "antennas": 'table.antennas = ("A1", "A3")',
+    "timestamp": "table.timestamp[1] = 8",
+    "located": "table.located[0] = 1",
+    "other": "table.other[1] = 1",
+    "outgoing": "table.outgoing[1] = True",
+    "antenna": "table.antenna = table.antenna.astype(np.int64)",
+}
+
+
+@pytest.mark.parametrize("part", list(ONE_PART_CHANGED))
+def test_the_table_digest_shows_one_changed_column_or_vocabulary(tmp_path, part):
+    (tmp_path / "cdr.csv").write_bytes(b"")
+    outputs = []
+    for side, change in (("base", "pass"), ("change", ONE_PART_CHANGED[part])):
+        package = tmp_path / side / "src" / "cdrevents"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "ingest.py").write_text(FAKE_INGEST.format(change=change))
+        args = ["-c", same_outputs.TABLE_DIGEST, "cdr.csv"]
+        outputs.append({"parse": same_outputs.run_python(tmp_path / side, tmp_path, args)})
+    (status, stdout, stderr), (_, changed, _) = outputs[0]["parse"], outputs[1]["parse"]
+    assert status == 0 and stderr == b"" and len(stdout.splitlines()) == 8
+    assert len(same_outputs.differences(*outputs, "command")) == 1
+    differing = [a.split()[0] for a, b in zip(stdout.splitlines(), changed.splitlines()) if a != b]
+    assert differing == [part.encode()]

@@ -120,7 +120,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the changed commit")
     parser.add_argument("--workloads", nargs="+", choices=names, default=names)
-    parser.add_argument("--pairs", type=int, default=6, help="pairs per workload (default 6)")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
     parser.add_argument("--first-seed", type=int, default=9001, help="seed of pair 0")
     parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"],
                         help="measured seconds of each run")

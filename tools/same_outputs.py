@@ -11,9 +11,12 @@ with its users renamed and its data lines shuffled (``renamed``).  In each
 case, each checkout runs ``generate`` (a workload's corpus then gets
 ``corpus.extra_lines``, and a README corpus its rewrite), ``detect
 --dump-index`` on the first planted event's antenna, and ``infer`` for
-every planted event.  A case runs in a directory of its own on each side,
-laid out the same way and named by relative paths, so that printed paths
-match, under ``PYTHONDONTWRITEBYTECODE=1``.
+every planted event.  No command runs the library's table parse, so each
+checkout also parses the case's ``corpus/cdr.csv`` into a ``CallTable``
+and prints a digest of its report, both vocabularies and each column's
+dtype and bytes (``TABLE_DIGEST``).  A case runs in a directory of its own
+on each side, laid out the same way and named by relative paths, so that
+printed paths match, under ``PYTHONDONTWRITEBYTECODE=1``.
 
 The exit status, standard output and standard error of every command, and
 every file the case leaves, are compared.  Each difference is printed, and
@@ -42,6 +45,23 @@ import corpus  # noqa: E402  (cdrbench's modules import each other by name)
 
 COMMAND_TIMEOUT_S = 300
 SHUFFLE_SEED = 22
+# run by ``python -c`` with a checkout's program: the table parse of the
+# CDR file named by its argument, one line per part, each with a digest
+TABLE_DIGEST = """
+import hashlib, sys
+from cdrevents.ingest import parse_cdr_file
+with open(sys.argv[1], "rb") as stream:
+    table, report = parse_cdr_file(stream)
+def digest(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+print("report", report.accepted, report.rejected, digest(repr(report.first_errors).encode()))
+for name in ("users", "antennas"):
+    names = getattr(table, name)
+    print(name, len(names), digest(repr(names).encode()))
+for name in ("timestamp", "located", "other", "outgoing", "antenna"):
+    column = getattr(table, name)
+    print(name, column.dtype.str, len(column), digest(column.tobytes()))
+"""
 
 
 def readme_config() -> dict:
@@ -98,22 +118,30 @@ def cases(seeds: list[int]) -> list[tuple[str, dict, corpus.Shape | None, int, R
     ]
 
 
+def run_python(checkout: Path, case_dir: Path, args: list[str]) -> tuple[int, bytes, bytes]:
+    """The exit status, stdout and stderr of Python run with ``args`` and
+    ``checkout``'s program in ``case_dir``."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=case_dir, env=env, capture_output=True,
+        timeout=COMMAND_TIMEOUT_S,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def run_case(
     checkout: Path, case_dir: Path, config: dict, shape, seed: int, rewrite: Rewrite | None
 ) -> dict:
     """Run the case's commands with ``checkout``'s program in ``case_dir``,
     after the ``rewrite`` of the generated corpus, if any; returns (exit
-    status, stdout, stderr) by command line."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    status, stdout, stderr) by command line, the table parse's under
+    ``table-parse corpus/cdr.csv``."""
     results: dict[str, tuple[int, bytes, bytes]] = {}
 
     def command(*args: str) -> int:
-        proc = subprocess.run(
-            [sys.executable, "-m", "cdrevents.cli", *args],
-            cwd=case_dir, env=env, capture_output=True, timeout=COMMAND_TIMEOUT_S,
-        )
-        results[" ".join(args)] = (proc.returncode, proc.stdout, proc.stderr)
-        return proc.returncode
+        line = " ".join(args)
+        results[line] = run_python(checkout, case_dir, ["-m", "cdrevents.cli", *args])
+        return results[line][0]
 
     case_dir.mkdir(parents=True)
     (case_dir / "config.json").write_text(json.dumps(config, indent=1), encoding="utf-8")
@@ -132,6 +160,9 @@ def run_case(
         dated = ("--antenna", event.antenna, "--date", event.date.isoformat(),
                  "--window", f"{event.start_hour:02d}:{event.end_hour:02d}")
         command("infer", *inputs, "--out", f"infer-{i}", *dated)
+    results["table-parse corpus/cdr.csv"] = run_python(
+        checkout, case_dir, ["-c", TABLE_DIGEST, "corpus/cdr.csv"]
+    )
     return results
 
 
