@@ -63,18 +63,19 @@ class IngestReport:
     first_errors: list[tuple[int, str]] = field(default_factory=list)
 
 
-def _blocks(stream: IO[bytes]) -> Iterator[tuple[bytearray, int]]:
-    """The data lines of a CDR stream in blocks, each with the line number
-    of its first line; raises IngestError if the header line is missing or
-    not ``CDR_HEADER``.
+def _blocks(stream: IO[bytes]) -> Iterator[bytearray]:
+    """The data lines of a CDR stream in blocks, the first block starting
+    at line 2; raises IngestError if the header line is missing or not
+    ``CDR_HEADER``.
 
     A block is one ``stream.readinto`` of ``_BLOCK_BYTES`` into a buffer of
     its own, finished in place by ``stream.readline``, so an unbuffered raw
     stream reads each block's last line a byte at a time.  Every line break
     ``str.splitlines`` knows is rewritten to "\n" as bytes, so bytes that
     are not UTF-8 are kept as they are; every line ends in "\n" and the
-    block in ``_PAD``.  The reader drops each block once it is yielded."""
-    line_no = 1
+    block in ``_PAD``.  The reader drops each block once it is yielded;
+    ``_parse_lines`` counts its lines in its separator scan."""
+    header = True
     while True:
         data = bytearray(_BLOCK_BYTES)
         try:
@@ -90,20 +91,16 @@ def _blocks(stream: IO[bytes]) -> Iterator[tuple[bytearray, int]]:
                 data = data.replace(brk, b"\n")
         if data[-1] != ord("\n"):
             data += b"\n"
-        if line_no == 1:
-            header = data[: data.find(b"\n")]
-            if header != CDR_HEADER.encode():
-                raise IngestError(f"bad CDR header: {header.decode('utf-8', 'backslashreplace')!r}")
-            del data[: len(header) + 1]
-            line_no = 2
+        if header:
+            line = data[: data.find(b"\n")]
+            if line != CDR_HEADER.encode():
+                raise IngestError(f"bad CDR header: {line.decode('utf-8', 'backslashreplace')!r}")
+            del data[: len(line) + 1]
+            header = False
         data += _PAD
-        yield data, line_no
-        # counted in numpy a sixteenth at a time, so that the mask stays
-        # small: bytearray.count is a byte loop, several times slower
-        pieces = np.array_split(np.frombuffer(data, dtype=np.uint8), 16)
-        line_no += int(sum(np.count_nonzero(piece == ord("\n")) for piece in pieces))
-        del pieces, data
-    if line_no == 1:
+        yield data
+        del data
+    if header:
         raise IngestError("empty CDR stream (missing header)")
 
 
@@ -296,9 +293,24 @@ def _user_keys(data: bytes, at: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return keys
 
 
+_SLOT_BITS = 16
+
+
+def _wanted(users: Collection[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_user_keys`` of ``users``, sorted and closed by the largest key
+    so that every search lands on a key, and a table of their top bits."""
+    names = [user.encode("utf-8", "surrogatepass") for user in users]
+    lens = np.fromiter(map(len, names), np.int64, len(names))
+    keys = _user_keys(b"".join(names) + _PAD, np.cumsum(lens) - lens, lens)
+    slots = np.zeros(1 << _SLOT_BITS, dtype=bool)
+    slots[keys >> (64 - _SLOT_BITS)] = True
+    return np.append(np.sort(keys), np.uint64(2**64 - 1)), slots
+
+
 class _Block(NamedTuple):
     """The accepted lines of a block (see ``_parse_lines``)."""
 
+    lines: int  # lines in the block, parsed or not
     data: bytes  # the block, ending in _PAD
     timestamp: np.ndarray
     outgoing: np.ndarray
@@ -309,20 +321,28 @@ class _Block(NamedTuple):
 
 
 def _parse_lines(
-    data: bytes, line_no: int, report: IngestReport, wanted: np.ndarray | None = None
+    data: bytes, line_no: int, report: IngestReport, wanted: tuple | None = None
 ) -> _Block:
     """Parse a block of lines ending in "\n" and followed by ``_PAD``, the
     first line being line ``line_no`` of the stream, into ``report`` and the
     columns of its accepted lines.  Users are checked but not encoded.
 
-    Given ``wanted``, the sorted ``_user_keys`` of some users closed by the
-    largest key, only the UTF-8 lines of five fields whose located or other
-    field has one of those keys are parsed and accepted or rejected; the
-    other lines go unparsed and unreported."""
+    One scan finds the bytes up to ","; of them the separators "," and "\n"
+    are kept, which count the lines and give five fields to a line that
+    five of them end.
+
+    Given ``wanted`` (see ``_wanted``), only the UTF-8 lines of five fields
+    whose located or other field has one of its keys are parsed and
+    accepted or rejected; the other lines go unparsed and unreported.  A key
+    is searched for only when the table holds its top bits."""
     buf = np.frombuffer(data, dtype=np.uint8)
     size = len(data) - len(_PAD)
     offset = np.int32 if size < 2**31 else np.int64
-    ends = np.flatnonzero(buf == ord("\n")).astype(offset)
+    seps = np.flatnonzero(buf[:size] <= ord(",")).astype(offset)
+    byte = buf[seps]
+    seps = seps[(byte == ord(",")) | (byte == ord("\n"))]
+    newlines = np.flatnonzero(buf[seps] == ord("\n"))  # indices into seps
+    ends = seps[newlines]
     starts = np.empty_like(ends)
     starts[:1] = 0
     starts[1:] = ends[:-1] + 1
@@ -341,21 +361,21 @@ def _parse_lines(
                     data[start:end].decode()
                 except UnicodeDecodeError:
                     undecodable.append(i)
-    commas = np.flatnonzero(buf == ord(",")).astype(offset)
-    # a line's last comma comes just before the next line's first, so one
-    # search bounds both
-    first = np.searchsorted(commas, starts)
-    has_five = np.diff(first, append=len(commas)) == 4
+    has_five = np.diff(newlines, prepend=-1) == 5
     has_five[undecodable] = False
     five = np.flatnonzero(has_five)
-    bounds = [starts[five] - 1] + [commas[first[five] + k] for k in range(4)]
-    bounds.append(ends[five])
-    del commas, first, has_five
+    # the byte before each field, and the line's "\n"
+    last = newlines[five]
+    bounds = [starts[five] - 1] + [seps[last - k] for k in (4, 3, 2, 1, 0)]
+    del seps, byte, newlines, has_five, last
     if wanted is not None:
+        wanted_keys, slots = wanted
         hit = np.zeros(len(five), dtype=bool)
         for field in (0, 1):
             keys = _user_keys(data, bounds[field] + 1, bounds[field + 1] - bounds[field] - 1)
-            hit |= wanted[np.searchsorted(wanted, keys)] == keys
+            maybe = np.flatnonzero(slots[keys >> (64 - _SLOT_BITS)])
+            keys = keys[maybe]
+            hit[maybe] |= wanted_keys[np.searchsorted(wanted_keys, keys)] == keys
         five, bounds = five[hit], [b[hit] for b in bounds]
     # the starts and the lengths of the fields (located, other, direction,
     # timestamp, antenna)
@@ -396,7 +416,7 @@ def _parse_lines(
         line = data[starts[i] : ends[i]]
         report.first_errors.append((line_no + i, _reason(int(reason[i]), line)))
     return _Block(
-        data, timestamp[keep], outgoing[keep], antenna[keep], antennas,
+        len(starts), data, timestamp[keep], outgoing[keep], antenna[keep], antennas,
         (at[0][keep], at[1][keep]), (lens[0][keep], lens[1][keep]),
     )
 
@@ -475,9 +495,11 @@ def parse_cdr_file(
     report = IngestReport()
     cells = None if utc_offset_minutes is None else _Cells(utc_offset_minutes)
     rows = None if cells is not None and window is None else _Rows()
-    for data, line_no in _blocks(stream):
+    line_no = 2
+    for data in _blocks(stream):
         block = _parse_lines(data, line_no, report)
         del data
+        line_no += block.lines
         if cells is not None:
             cells.add(block.antennas, block.antenna, block.timestamp)
         if rows is not None:
@@ -496,23 +518,22 @@ def parse_touching(stream: IO[bytes], users: Collection[str]) -> CallTable:
     either side, as ``parse_cdr_file`` reads them.
 
     The stream is read in blocks as ``parse_cdr_file`` reads it, with the
-    same line numbers, and each block is parsed once.  Only the lines whose located or other field has
-    the key (``_user_keys``) of one of ``users`` are parsed; the other lines
-    go unparsed and unreported.  The records are then kept by their users,
-    so a line whose key is shared with a user is parsed and dropped, and no
-    record of the users is lost.  Memory stays about those users' records
-    plus one block.
+    same line numbers, and each block is parsed once.  Only the lines whose
+    located or other field has the key (``_user_keys``) of one of ``users``
+    are parsed; the other lines go unparsed and unreported.  A key is
+    searched for among theirs only when a table of their keys' top 16 bits
+    (``_wanted``), built once per call, holds its own.  The records are then
+    kept by their users, so a line whose key is shared with a user is parsed
+    and dropped, and no record of the users is lost.  Memory stays about
+    those users' records plus one block.
     """
-    names = [user.encode("utf-8", "surrogatepass") for user in users]
-    lens = np.fromiter(map(len, names), np.int64, len(names))
-    wanted = _user_keys(b"".join(names) + _PAD, np.cumsum(lens) - lens, lens)
-    # the largest key closes the list, so that every search lands on a key
-    wanted = np.append(np.sort(wanted), np.uint64(2**64 - 1))
-    del names, lens
-    rows = _Rows()
-    for data, line_no in _blocks(stream):
-        rows.add(_parse_lines(data, line_no, IngestReport(), wanted))
-        del data
+    wanted = _wanted(users)
+    rows, line_no = _Rows(), 2
+    for data in _blocks(stream):
+        block = _parse_lines(data, line_no, IngestReport(), wanted)
+        rows.add(block)
+        line_no += block.lines
+        del data, block
     return rows.table().touching(users)
 
 

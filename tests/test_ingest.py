@@ -26,6 +26,7 @@ from cdrevents.ingest import (
     write_client_roster,
 )
 from cdrevents.model import CallRecord, CallTable, DatasetCalendar, Direction, HourlyCounts
+import helpers
 from helpers import IN, OUT, rec, reference_parse_cdr, reference_write_cdr
 
 
@@ -666,7 +667,7 @@ def test_the_reader_holds_one_block_at_a_time():
     stream = io.BytesIO(data)
     tracemalloc.start()
     try:
-        for block, _ in ingest._blocks(stream):
+        for block in ingest._blocks(stream):
             del block
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1025,6 +1026,71 @@ def test_a_user_key_shared_with_another_user_adds_no_row():
     assert list(table) == [rec(users[0], "a", OUT, 1, "L")]
 
 
+def test_keys_that_share_a_slot_of_an_attender_s_key_add_no_row():
+    # users whose keys differ from the attender's but share its top bits,
+    # the slot of the screen before the exact search, are searched for and
+    # not found: their lines go unparsed, and every line of the attender is
+    # parsed and kept, at every block size
+    names = [b"u%06d" % i for i in range(250_000)]
+    at, lens = 7 * np.arange(len(names)), np.full(len(names), 7)
+    keys = ingest._user_keys(b"".join(names) + bytes(8), at, lens)
+    top = keys >> (64 - ingest._SLOT_BITS)
+    shared = np.flatnonzero((top == top[0]) & (keys != keys[0]))
+    assert len(shared) >= 3, shared
+    wanted = ingest._wanted(["u000000"])
+    wanted_keys, slots = wanted
+    assert slots[top[shared]].all() and not np.isin(keys[shared], wanted_keys).any()
+    sharers = [names[i].decode() for i in shared]
+    lines = [f"{s},u000000,in,{i},L" if i % 2 else f"{s},v,up,{i},L" for i, s in enumerate(sharers)]
+    lines += ["u000000,v,out,10,L", "w,u000000,up,11,L", f"u000000,{sharers[0]},in,12,M"]
+    data = ("\n".join(lines) + "\n").encode() + ingest._PAD
+    report = IngestReport()
+    block = ingest._parse_lines(data, 2, report, wanted)
+    odd = len(sharers) // 2
+    assert (report.accepted, report.rejected) == (odd + 2, 1)
+    assert report.first_errors == [(len(sharers) + 3, "unknown direction 'up'")]
+    assert block.timestamp.tolist() == [*range(1, len(sharers), 2), 10, 12]
+    text = CDR_HEADER + "\n" + data[: -len(ingest._PAD)].decode()
+    expected = [r for r in reference_parse_cdr(io.BytesIO(text.encode()))[0] if "u000000" in r[:2]]
+    assert len(expected) == odd + 2
+    for block_bytes in range(1, len(text) + 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+            assert list(parse_touching(io.BytesIO(text.encode()), ["u000000"])) == expected
+
+
+# the bytes up to "," other than "," and the line breaks: the separator scan
+# finds each of them with the separators and must drop it
+FIELD_LOW_BYTES = [chr(b) for b in range(ord(",")) if len(f"a{chr(b)}b".splitlines()) == 1]
+
+
+@pytest.mark.parametrize("byte", FIELD_LOW_BYTES, ids=lambda c: f"{ord(c):#04x}")
+def test_low_bytes_inside_fields_are_not_separators(byte):
+    # the byte starts, then ends, each of the five fields in turn: in a user
+    # or the antenna it makes another identifier, in the direction or the
+    # timestamp a rejected line; every parse and every block size agrees
+    # with the per-line reference
+    lines = []
+    for field in range(5):
+        for edge in (byte + "{}", "{}" + byte):
+            parts = ["u", "v", "out", "7", "L"]
+            parts[field] = edge.format(parts[field])
+            lines.append(",".join(parts))
+    text = CDR_HEADER + "\n" + "\n".join(lines) + "\nu,v,in,8,L\n"
+    expected = read_with(reference_parse_cdr, text)
+    assert expected[1].accepted == 7
+    for block_bytes in range(1, len(text) + 3):
+        got = parse_columnar(text, block_bytes)
+        assert_same_parse(got, expected)
+        assert_same_hourly(parse_columnar(text, block_bytes, OFFSET), got)
+        # the lines of "u" and "v" without the byte are not touched
+        users = [byte + "u", "v" + byte]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+            touching = parse_touching(io.BytesIO(text.encode()), users)
+        assert list(touching) == list(got[0].touching(users))
+
+
 # bytes that make or break lines: the single-byte breaks, the bytes of
 # U+0085, U+2028 and U+2029, and bytes that are not UTF-8 or start a
 # surrogate
@@ -1042,41 +1108,53 @@ READER_BYTES = [
 def test_the_reader_splits_lines_as_decoding_and_splitlines_would(header_break, body):
     # at every block size, the blocks without their pads are the data lines
     # of the stream decoded with surrogateescape, each followed by "\n", and
-    # each block is numbered by the lines before it
+    # the parse numbers every line as the per-line reference does, each line
+    # that is not UTF-8 rejected alone (every rejection is reported)
     raw = (CDR_HEADER + header_break).encode() + body
     header, *lines = raw.decode("utf-8", "surrogateescape").splitlines()
     assert header == CDR_HEADER
     expected = "".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape")
+    # surrogateescape gives each byte that is not UTF-8 a lone surrogate,
+    # which UTF-8 cannot encode
+    bad = {n for n, line in enumerate(lines, 2) if line != line.encode("utf-8", "ignore").decode()}
+    clean = "".join(f"{'x' if n in bad else line}\n" for n, line in enumerate([header, *lines], 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(helpers, "MAX_REPORTED_ERRORS", len(lines) + 1)
+        reference = reference_without_bad_lines(BadLines(raw, clean, frozenset(bad)))
     for block_bytes in range(1, len(raw) + 3):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
             blocks = list(ingest._blocks(io.BytesIO(raw)))
+            patch.setattr(ingest, "MAX_REPORTED_ERRORS", len(lines) + 1)
+            got = read_with(parse_cdr_file, raw)
         pad = len(ingest._PAD)
-        assert all(block[-pad:] == ingest._PAD for block, _ in blocks)
-        assert b"".join(block[:-pad] for block, _ in blocks) == expected
-        lines_before = itertools.accumulate((block.count(b"\n") for block, _ in blocks), initial=0)
-        assert [line_no for _, line_no in blocks] == [2 + n for n in lines_before][:-1]
+        assert all(block[-pad:] == ingest._PAD for block in blocks)
+        assert b"".join(block[:-pad] for block in blocks) == expected
+        assert_same_parse(got, reference)
+        assert len(got[1].first_errors) == got[1].rejected
 
 
 def test_a_block_parsed_for_some_users_counts_only_their_lines():
     # of six lines, one not UTF-8 and one of two fields, only the two of
     # user "u" with five fields are accepted or rejected
     data = b"u,a,out,1,L\nu,b,up,2,L\nc,d,up,3,L\nc,d,out,4,L\nu,\xff,out,5,L\nx,y\n" + bytes(8)
-    key = ingest._user_keys(b"u" + bytes(8), np.array([0]), np.array([1]))
     report = IngestReport()
-    block = ingest._parse_lines(data, 2, report, np.append(key, np.uint64(2**64 - 1)))
+    block = ingest._parse_lines(data, 2, report, ingest._wanted(["u"]))
     assert (report.accepted, report.rejected) == (1, 1)
     assert report.first_errors == [(3, "unknown direction 'up'")]
     assert block.timestamp.tolist() == [1]
+    assert block.lines == 6
     report = IngestReport()
-    ingest._parse_lines(data, 2, report)
+    assert ingest._parse_lines(data, 2, report).lines == 6
     assert (report.accepted, report.rejected) == (2, 4)
     # read a line at a time after the header, which fills the first block
-    # alone, the six lines are lines 2 to 7
-    stream = io.BytesIO(CDR_HEADER.encode() + b"\n" + data[: -len(ingest._PAD)])
+    # alone, the six lines are lines 2 to 7, numbered as in the one block
+    raw = CDR_HEADER.encode() + b"\n" + data[: -len(ingest._PAD)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_BLOCK_BYTES", 1)
-        assert [line_no for _, line_no in ingest._blocks(stream)] == [2, *range(2, 8)]
+        blocks = ingest._blocks(io.BytesIO(raw))
+        assert [ingest._parse_lines(b, 0, IngestReport()).lines for b in blocks] == [0, *[1] * 6]
+        assert parse_cdr_file(io.BytesIO(raw))[1] == report
 
 
 def assert_window_parse(text: str | bytes, block_bytes: int | None, window):

@@ -16,9 +16,14 @@ would load it), and checkout paths of different lengths (the peak RSS of
 ``detect`` follows the lengths of the paths it is given).
 
 For each workload and end-to-end metric it prints the median and quartiles
-of each side, the change in percent, and the pairs in which CHANGE read
-lower (a tie counts for neither side); then every run's ``correct``,
-``attempted`` and ``failed``.  The exit status is 1 if any run failed an
+of each side, the change in percent, the pairs in which CHANGE read lower
+(a tie counts for neither side) and a verdict; then every run's
+``correct``, ``attempted`` and ``failed``.  The verdict, which honours the
+metric's ``better`` in ``BENCHMARK.json``, is "gain" when CHANGE is better
+in at least 9 of 10 pairs and its median is better than PARENT's by more
+than PARENT's quartile spread, "worse" when its median is worse than
+PARENT's by more than the metric's ``bound`` (a fraction of PARENT's
+median), and "within bound" otherwise.  The exit status is 1 if any run failed an
 operation, was not correct or gave no result.  ``--json PATH`` keeps the
 raw runs.
 """
@@ -74,21 +79,38 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return low, median, high
 
 
-def summary(runs: list[dict], metrics: list[str]) -> list[str]:
+def verdict(metric: dict, parent: dict[int, float], change: dict[int, float]) -> str:
+    """"gain", "worse" or "within bound" for one metric of ``BENCHMARK.json``
+    (its ``better`` and ``bound``), given each side's value by seed."""
+    sign = 1 if metric["better"] == "lower" else -1
+    pairs = parent.keys() & change.keys()
+    better = sum(sign * change[seed] < sign * parent[seed] for seed in pairs)
+    p_low, p_mid, p_high = quartiles(list(parent.values()))
+    c_mid = quartiles(list(change.values()))[1]
+    if 10 * better >= 9 * len(pairs) and sign * (p_mid - c_mid) > p_high - p_low:
+        return "gain"
+    if sign * (c_mid - p_mid) > metric["bound"] * abs(p_mid):
+        return "worse"
+    return "within bound"
+
+
+def summary(runs: list[dict], metrics: list[dict]) -> list[str]:
     """The report lines of ``runs``, each a result object with its
-    ``workload``, ``seed`` and ``side``."""
+    ``workload``, ``seed`` and ``side``, for ``metrics``, the end-to-end
+    metrics of ``BENCHMARK.json``."""
     lines = []
     for workload in dict.fromkeys(run["workload"] for run in runs):
         mine = [run for run in runs if run["workload"] == workload]
         lines.append(f"{workload}:")
         for metric in metrics:
+            name = metric["name"]
             by_seed = {
-                side: {run["seed"]: run["metrics"][metric]["value"]
-                       for run in mine if run["side"] == side and metric in run["metrics"]}
+                side: {run["seed"]: run["metrics"][name]["value"]
+                       for run in mine if run["side"] == side and name in run["metrics"]}
                 for side in SIDES
             }
             if not all(by_seed.values()):
-                lines.append(f"  {metric}: no result on both sides")
+                lines.append(f"  {name}: no result on both sides")
                 continue
             (p_low, p_mid, p_high), (c_low, c_mid, c_high) = (
                 quartiles(list(by_seed[side].values())) for side in SIDES
@@ -97,9 +119,10 @@ def summary(runs: list[dict], metrics: list[str]) -> list[str]:
             lower = sum(by_seed["change"][seed] < by_seed["parent"][seed] for seed in pairs)
             percent = f"{(c_mid - p_mid) / p_mid * 100:+.1f} %" if p_mid else "n/a"
             lines.append(
-                f"  {metric}: parent {p_mid:.4g} [{p_low:.4g}-{p_high:.4g}], "
+                f"  {name}: parent {p_mid:.4g} [{p_low:.4g}-{p_high:.4g}], "
                 f"change {c_mid:.4g} [{c_low:.4g}-{c_high:.4g}], {percent}, "
-                f"change lower in {lower}/{len(pairs)} pairs"
+                f"change lower in {lower}/{len(pairs)} pairs, "
+                f"{verdict(metric, by_seed['parent'], by_seed['change'])}"
             )
         for run in mine:
             lines.append(
@@ -142,7 +165,7 @@ def main(argv: list[str]) -> int:
                 runs.append({"workload": workload, "seed": seed, "side": side, **result})
                 print(f"{workload} seed {seed} {side}: "
                       f"{'bad run' if bad(runs[-1]) else 'ok'}", file=sys.stderr, flush=True)
-    print("\n".join(summary(runs, [m["name"] for m in benchmark["end_to_end"]])))
+    print("\n".join(summary(runs, benchmark["end_to_end"])))
     if args.json is not None:
         payload = {"parent": str(checkouts["parent"]), "change": str(checkouts["change"]),
                    "seconds": args.seconds, "runs": runs}
